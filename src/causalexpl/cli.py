@@ -88,34 +88,41 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
             for a in optimal_subset(atoms, compute_closures(t).impco))
         return result
 
-    impco = compute_closures(t).impco
     if stage == "gen":
         result.generated = generate(t)
         return result
 
     if stage == "opt":
-        base = stage_in.generated if stage_in.generated else generate(t)
-        result.generated = frozenset(base)
-        result.optimal = optimize(result.generated, impco)
+        c = compute_closures(t)
+        result.generated = (frozenset(stage_in.generated) if stage_in.generated
+                            else generate(t, c))
+        result.optimal = optimize(result.generated, c.impco)
         return result
 
     # verify / all
-    result.generated = generate(t)
-    base_optimal = (frozenset(stage_in.optimal) if stage_in.optimal
-                    else optimize(result.generated, impco))
-    result.optimal = base_optimal
+    if stage_in.optimal:
+        result.optimal = frozenset(stage_in.optimal)
+        if stage == "all":  # verify does not emit the generated atoms
+            result.generated = generate(t)
+    else:
+        c = compute_closures(t)
+        result.generated = generate(t, c)
+        result.optimal = optimize(result.generated, c.impco)
 
     worlds = enumerate_worlds(t, max_worlds=config.max_worlds,
                               inclusive_disjunction=config.inclusive_disjunction)
     if not worlds:
         raise InconsistentTheoryError("inconsistent premises: no world survives")
     result.worlds = worlds
-    base_causal = frozenset(t.causal)
+    # generate + optimize run once per distinct causal set, not per world
+    optimal_by_causal = {frozenset(t.causal): result.optimal}
     for world in worlds:
-        atoms = base_optimal
-        if world.causal != base_causal:
+        atoms = optimal_by_causal.get(world.causal)
+        if atoms is None:
             tw = t.with_causal(world.causal)
-            atoms = optimize(generate(tw), compute_closures(tw).impco)
+            c = compute_closures(tw)
+            atoms = optimize(generate(tw, c), c.impco)
+            optimal_by_causal[world.causal] = atoms
         result.verified[world.index] = verify(atoms, world)
     result.verdicts = brave_cautious(result.verified, len(worlds))
     return result
@@ -206,7 +213,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    default="text")
     p.add_argument("--lift", action="store_true",
                    help="expand object-level IS-A links before the pipeline")
-    p.add_argument("--max-worlds", type=int, default=1024)
+    p.add_argument("--max-worlds", type=int, default=1024,
+                   help="fail with exit code 2 once more than this many "
+                        "worlds survive (at least 1)")
     p.add_argument("--inclusive-disjunction", action="store_true",
                    help="disjunctive facts admit any non-empty subset of "
                         "their literals, not exactly one")
@@ -221,6 +230,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    if args.max_worlds < 1:
+        print("error: --max-worlds must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     config = RunConfig(stage=args.stage, max_worlds=args.max_worlds,
                        inclusive_disjunction=args.inclusive_disjunction,
                        lifting=args.lift, oracle=args.oracle, fmt=args.fmt)

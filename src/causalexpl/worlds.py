@@ -13,14 +13,13 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .closure import impco_closure
 from .model import (VERIFIED, CausalAtom, Clause, ExplanationAtom, Literal,
-                    Symbol, Theory)
+                    Symbol, Theory, symbol_universe)
 
 
 class WorldOverflowError(RuntimeError):
-    def __init__(self, count: int, bound: int):
-        super().__init__("world enumeration would produce %d worlds "
-                         "(max_worlds = %d)" % (count, bound))
-        self.count = count
+    def __init__(self, bound: int):
+        super().__init__("more than max_worlds = %d worlds survive "
+                         "enumeration" % bound)
         self.bound = bound
 
 
@@ -34,9 +33,7 @@ class World:
     index: int
     chosen: FrozenSet[Literal]
     truth: Mapping[Symbol, bool]             # absent symbol = unknown
-    causal_truth: Mapping[CausalAtom, bool]  # absent atom = unknown
     causal: FrozenSet[CausalAtom]            # effective causal atoms
-    impco: frozenset                         # implication closure in this world
 
     def facts(self) -> Tuple[str, ...]:
         return tuple(sorted(lit.render() for lit in self.chosen))
@@ -62,28 +59,42 @@ def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...
     return options
 
 
-def _assign(assignment: dict, key, value) -> bool:
-    """Record a truth value; False on conflict."""
-    if key in assignment and assignment[key] != value:
-        return False
-    assignment[key] = value
+def _assign_literals(assignment: dict, literals: Iterable[Literal],
+                     added: list) -> bool:
+    """Assign each literal, listing newly assigned atoms in added; False on
+    conflict (the atoms assigned before it stay listed, for undoing)."""
+    for lit in literals:
+        if lit.atom not in assignment:
+            assignment[lit.atom] = lit.positive
+            added.append(lit.atom)
+        elif assignment[lit.atom] != lit.positive:
+            return False
     return True
 
 
-def propagate_truth(truth: Dict[Symbol, bool], impco) -> bool:
-    """Forward-close true, backward-close false along impco; False on conflict.
-
-    impco is transitive, so a single pass over the assigned symbols suffices.
-    """
+def _implication_index(impco) -> Tuple[dict, dict]:
+    """Forward and backward adjacency of impco: a -> {b}, b -> {a}."""
     fwd = defaultdict(set)
     bwd = defaultdict(set)
     for a, b in impco:
         fwd[a].add(b)
         bwd[b].add(a)
+    return fwd, bwd
+
+
+def propagate_truth(truth: Dict[Symbol, bool], impco,
+                    index: Optional[Tuple[dict, dict]] = None) -> bool:
+    """Forward-close true, backward-close false along impco; False on conflict.
+
+    impco is transitive, so a single pass over the assigned symbols suffices.
+    index is impco's forward and backward adjacency; it is built here when
+    the caller has none to reuse.
+    """
+    fwd, bwd = index if index is not None else _implication_index(impco)
     for s, value in list(truth.items()):
-        targets = fwd[s] if value else bwd[s]
+        targets = fwd.get(s, ()) if value else bwd.get(s, ())
         for other in targets:
-            if not _assign(truth, other, value):
+            if truth.setdefault(other, value) != value:
                 return False
     return True
 
@@ -99,67 +110,84 @@ def _clause_violated(clause: Clause, truth: Mapping[Symbol, bool],
     return True
 
 
-def enumerate_worlds(t: Theory, max_worlds: int = 1024,
-                     inclusive_disjunction: bool = False,
-                     generate_from_disjunctions: bool = True,
-                     symbol_e: Optional[frozenset] = None) -> Tuple[World, ...]:
-    """All consistent worlds, indexed from 1 in canonical choice order."""
-    if symbol_e is None:
-        from .model import symbol_universe
-        _, symbol_e = symbol_universe(t)
+def _consistent_choices(facts: Iterable[Literal],
+                        axes: List[List[Tuple[Literal, ...]]]):
+    """Yield (chosen groups, assignment) for every choice of one option per
+    axis that assigns no atom both values, together with the facts.
 
+    The walk is depth-first and visits choices in itertools.product order; a
+    branch is dropped as soon as an option clashes with a fact or an earlier
+    option.  The assignment maps every chosen atom to its value; it is
+    shared between yields, so read it before resuming the walk.
+    """
+    assignment: dict = {}
+    if not _assign_literals(assignment, facts, []):
+        return
+    n = len(axes)
+    added: List[list] = [[] for _ in range(n)]  # atoms each depth assigned
+    tried = [0] * n                              # options tried per depth
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            yield [axes[i][tried[i] - 1] for i in range(n)], assignment
+            depth -= 1
+            continue
+        for atom in added[depth]:
+            del assignment[atom]
+        added[depth].clear()
+        if tried[depth] == len(axes[depth]):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        option = axes[depth][tried[depth]]
+        tried[depth] += 1
+        if _assign_literals(assignment, option, added[depth]):
+            depth += 1
+
+
+def enumerate_worlds(t: Theory, max_worlds: int = 1024,
+                     inclusive_disjunction: bool = False) -> Tuple[World, ...]:
+    """All consistent worlds, indexed from 1 in canonical choice order.
+
+    Raises WorldOverflowError as soon as more than max_worlds worlds survive.
+    """
+    _, symbol_e = symbol_universe(t)
     axes: List[List[Tuple[Literal, ...]]] = []
-    if generate_from_disjunctions:
-        for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
-            axes.append(_literal_options(clause, inclusive_disjunction))
+    for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
+        axes.append(_literal_options(clause, inclusive_disjunction))
     for atom in sorted(t.completions, key=str):
         axes.append([(Literal(atom, True),), (Literal(atom, False),)])
 
-    count = 1
-    for axis in axes:
-        count *= len(axis)
-    if count > max_worlds:
-        raise WorldOverflowError(count, max_worlds)
-
     worlds: List[World] = []
     base_causal = frozenset(t.causal)
-    for combo in itertools.product(*axes):
-        chosen = set(t.facts)
-        for group in combo:
-            chosen.update(group)
-
+    # causal set -> (its impco, that impco's index), shared by its worlds
+    closures: Dict[FrozenSet[CausalAtom], tuple] = {}
+    for groups, assignment in _consistent_choices(t.facts, axes):
         truth: Dict[Symbol, bool] = {}
         causal_truth: Dict[CausalAtom, bool] = {}
-        consistent = True
-        for lit in chosen:
-            table = causal_truth if isinstance(lit.atom, CausalAtom) else truth
-            if not _assign(table, lit.atom, lit.positive):
-                consistent = False
-                break
-        if not consistent:
-            continue
-
-        causal = set(base_causal)
-        for ca, present in causal_truth.items():
-            if present:
-                causal.add(ca)
-            else:
-                causal.discard(ca)
-        causal = frozenset(causal)
+        for atom, value in assignment.items():
+            table = causal_truth if isinstance(atom, CausalAtom) else truth
+            table[atom] = value
+        causal = frozenset(ca for ca in base_causal.union(causal_truth)
+                           if causal_truth.get(ca, True))
         for ca in causal:
             causal_truth.setdefault(ca, True)
 
-        impco = impco_closure(causal, t.ontology, symbol_e)
-        if not propagate_truth(truth, impco):
+        if causal not in closures:
+            impco = impco_closure(causal, t.ontology, symbol_e)
+            closures[causal] = (impco, _implication_index(impco))
+        impco, index = closures[causal]
+        if not propagate_truth(truth, impco, index):
             continue
         if any(_clause_violated(cl, truth, causal_truth) for cl in t.clauses):
             continue
-        worlds.append(World(index=len(worlds) + 1,
-                            chosen=frozenset(chosen),
-                            truth=dict(truth),
-                            causal_truth=dict(causal_truth),
-                            causal=causal,
-                            impco=impco))
+        if len(worlds) == max_worlds:
+            raise WorldOverflowError(max_worlds)
+        chosen = set(t.facts)
+        for group in groups:
+            chosen.update(group)
+        worlds.append(World(index=len(worlds) + 1, chosen=frozenset(chosen),
+                            truth=truth, causal=causal))
     return tuple(worlds)
 
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from causalexpl import cli
 from causalexpl.cli import main
+from causalexpl.parser import parse_input
 from conftest import FIG_TEXT
 
 
@@ -123,6 +125,50 @@ def test_world_overflow_exit_2(capsys, tmp_path):
     src = tmp_path / "many.lp"
     src.write_text(lines)
     assert main([str(src), "--stage", "verify", "--max-worlds", "8"]) == 2
+
+
+def test_max_worlds_counts_surviving_worlds(capsys, tmp_path):
+    # 4096 combinations, but the unit facts leave only two worlds
+    lines = "".join("true(c%d) v -true(c%d).\n" % (i, i) for i in range(12))
+    lines += "".join("true(c%d).\n" % i for i in range(11))
+    src = tmp_path / "fixed.lp"
+    src.write_text(lines)
+    code, out = run(capsys, str(src), "--stage", "verify", "--max-worlds", "2",
+                    "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["worlds"]) == 2
+    assert main([str(src), "--stage", "verify", "--max-worlds", "1"]) == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_max_worlds_below_one_exit_1(capsys, diagram_file, bound):
+    assert main([diagram_file, "--max-worlds", bound]) == 1
+    assert "--max-worlds" in capsys.readouterr().err
+
+
+def test_chained_verify_skips_generation_of_base(capsys, monkeypatch,
+                                                 tmp_path):
+    src = tmp_path / "choice.lp"
+    src.write_text(FIG_TEXT + "\ncause(a,b) v cause(c,b).\n-true(gamma1).\n")
+    opt = tmp_path / "opt.lp"
+    assert main([str(src), "--stage", "opt", "--out", str(opt)]) == 0
+    code, direct = run(capsys, str(src), "--stage", "verify")
+    assert code == 0
+
+    base_causal = parse_input(src.read_text()).theory.causal
+    generated_for = []
+
+    def counting_generate(theory, closures=None):
+        generated_for.append(theory.causal)
+        return generate(theory, closures)
+
+    generate = cli.generate
+    monkeypatch.setattr(cli, "generate", counting_generate)
+    code, chained = run(capsys, str(src), str(opt), "--stage", "verify")
+    assert code == 0
+    assert chained == direct
+    assert len(generated_for) == 2  # one per world's causal set
+    assert base_causal not in generated_for
 
 
 def test_inconsistent_theory_exit_1(capsys, tmp_path):

@@ -1,11 +1,18 @@
 """World enumeration, truth propagation and brave/cautious verification."""
-import pytest
+import itertools
+import random
 
-from causalexpl.closure import compute_closures
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalexpl import cli
+from causalexpl.closure import compute_closures, impco_closure
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
-                              Theory, sym)
+                              OntAtom, Theory, sym, symbol_universe)
 from causalexpl.optimize import optimize
+from causalexpl.parser import StageFacts
 from causalexpl.worlds import (InconsistentTheoryError, WorldOverflowError,
                                brave_cautious, enumerate_worlds,
                                propagate_truth, verify)
@@ -62,6 +69,22 @@ def test_world_overflow():
     with pytest.raises(WorldOverflowError):
         enumerate_worlds(t, max_worlds=31)
     assert len(enumerate_worlds(t, max_worlds=32)) == 32
+
+
+def test_max_worlds_bounds_surviving_worlds_not_combinations():
+    # 12 completions make 4096 combinations, but facts fix all but one
+    completions = frozenset(sym("c%d" % i) for i in range(12))
+    facts = frozenset(Literal(sym("c%d" % i), True) for i in range(11))
+    t = Theory(completions=completions, facts=facts)
+    assert len(enumerate_worlds(t, max_worlds=2)) == 2
+    with pytest.raises(WorldOverflowError):
+        enumerate_worlds(t, max_worlds=1)
+
+
+def test_overflow_with_more_axes_than_the_recursion_limit():
+    completions = frozenset(sym("c%d" % i) for i in range(2000))
+    with pytest.raises(WorldOverflowError):
+        enumerate_worlds(Theory(completions=completions), max_worlds=3)
 
 
 def test_truth_propagates_forward_and_backward():
@@ -151,3 +174,105 @@ def test_negative_fact_monotone(diagram):
                    facts=frozenset([Literal(sym(name), False)]))
         (world,) = enumerate_worlds(t)
         assert {a.key() for a in verify(optimal, world)} <= base
+
+
+# -- differential test against a brute-force enumeration ----------------------
+
+def _reference_worlds(t, inclusive):
+    """Every combination of itertools.product over the choice axes, each
+    checked on its own: the specification of enumerate_worlds."""
+    _, symbol_e = symbol_universe(t)
+    axes = []
+    for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
+        literals = clause.sorted_literals()
+        sizes = range(1, len(literals) + 1) if inclusive else (1,)
+        axes.append([group for r in sizes
+                     for group in itertools.combinations(literals, r)])
+    for atom in sorted(t.completions, key=str):
+        axes.append([(Literal(atom, True),), (Literal(atom, False),)])
+
+    worlds = []
+    for combo in itertools.product(*axes):
+        chosen = set(t.facts).union(*combo)
+        if any(lit.negated() in chosen for lit in chosen):
+            continue
+        truth = {lit.atom: lit.positive for lit in chosen
+                 if not isinstance(lit.atom, CausalAtom)}
+        causal_truth = {lit.atom: lit.positive for lit in chosen
+                        if isinstance(lit.atom, CausalAtom)}
+        causal = frozenset(
+            ca for ca in set(t.causal) | set(causal_truth)
+            if causal_truth.get(ca, True))
+        for ca in causal:
+            causal_truth[ca] = True
+        impco = impco_closure(causal, t.ontology, symbol_e)
+        if not propagate_truth(truth, impco):
+            continue
+        if any(all((causal_truth if isinstance(lit.atom, CausalAtom)
+                    else truth).get(lit.atom) == (not lit.positive)
+                   for lit in clause.literals)
+               for clause in t.clauses):
+            continue
+        worlds.append((len(worlds) + 1, frozenset(chosen), truth, causal))
+    return worlds
+
+
+def _random_world_theory(rng):
+    """A small theory with every kind of choice: symbol and causal
+    completions, disjunctive facts, unit facts and unit clauses."""
+    symbols = [sym("s%d" % i) for i in range(rng.randint(2, 5))]
+
+    def causal_atom():
+        a, b = rng.sample(symbols, 2)
+        return CausalAtom(a, b)
+
+    def literal():
+        atom = causal_atom() if rng.random() < 0.3 else rng.choice(symbols)
+        return Literal(atom, rng.random() < 0.6)
+
+    causal = {causal_atom() for _ in range(rng.randint(0, 4))}
+    ontology = set()
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(symbols, 2)
+        ontology.add(OntAtom(a, b))
+    completions = set(rng.sample(symbols, rng.randint(0, 2)))
+    completions.update(causal_atom() for _ in range(rng.randint(0, 2)))
+    facts = {literal() for _ in range(rng.randint(0, 2))}
+    clauses = {Clause(frozenset(literal() for _ in range(rng.randint(1, 3))))
+               for _ in range(rng.randint(0, 3))}
+    return Theory(causal=frozenset(causal), ontology=frozenset(ontology),
+                  facts=frozenset(facts), clauses=frozenset(clauses),
+                  completions=frozenset(completions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_enumeration_matches_brute_force(seed, inclusive):
+    t = _random_world_theory(random.Random(seed))
+    worlds = enumerate_worlds(t, max_worlds=10 ** 6,
+                              inclusive_disjunction=inclusive)
+    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
+        _reference_worlds(t, inclusive)
+
+
+def test_pipeline_generates_once_per_causal_set(monkeypatch):
+    ab = CausalAtom(sym("a"), sym("b"))
+    cb = CausalAtom(sym("c"), sym("b"))
+    t = Theory(causal=frozenset([ab]),
+               completions=frozenset([cb, sym("x"), sym("y")]))
+    calls = []
+
+    def counting_generate(theory, closures=None):
+        calls.append(theory.causal)
+        return generate(theory, closures)
+
+    monkeypatch.setattr(cli, "generate", counting_generate)
+    result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
+    causal_sets = {w.causal for w in result.worlds}
+    assert len(result.worlds) == 8 and len(causal_sets) == 2
+    assert sorted(calls, key=len) == sorted(causal_sets, key=len)
+    for world in result.worlds:
+        tw = t.with_causal(world.causal)
+        expected = verify(optimize(generate(tw), compute_closures(tw).impco),
+                          world)
+        assert result.verified[world.index] == expected
