@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 world overflow, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -18,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import OPTIMAL, ExplanationAtom, Theory, validate_theory
+from .model import (OPTIMAL, ExplanationAtom, Theory, symbol_universe,
+                    validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import (ParseError, StageFacts, atom_sort_key, emit_atoms,
@@ -77,6 +79,14 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
     if config.lifting:
         t = apply_lifting(t, result.warnings)
         result.theory = t
+    symbols, _ = symbol_universe(t)
+    for atom in stage_in.generated | stage_in.optimal:
+        unknown = set(atom.conditions + (atom.target,)) - symbols
+        if unknown:
+            raise ValueError(
+                "stage input %s explains %s with %s, which the theory does "
+                "not mention" % (atom.source, atom.target,
+                                 ", ".join(map(str, sorted(unknown)))))
 
     stage = config.stage
     if config.oracle:
@@ -99,29 +109,35 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
         result.optimal = optimize(result.generated, c.impco)
         return result
 
-    # verify / all
+    # verify / all: closures are built once per causal set, here or by
+    # enumerate_worlds, and shared by generate, optimize and propagation
+    base = frozenset(t.causal)
+    closures = {}
     if stage_in.optimal:
         result.optimal = frozenset(stage_in.optimal)
         if stage == "all":  # verify does not emit the generated atoms
-            result.generated = generate(t)
+            closures[base] = compute_closures(t)
+            result.generated = generate(t, closures[base])
     else:
-        c = compute_closures(t)
+        c = closures[base] = compute_closures(t)
         result.generated = generate(t, c)
         result.optimal = optimize(result.generated, c.impco)
 
     worlds = enumerate_worlds(t, max_worlds=config.max_worlds,
-                              inclusive_disjunction=config.inclusive_disjunction)
+                              inclusive_disjunction=config.inclusive_disjunction,
+                              closures=closures)
     if not worlds:
         raise InconsistentTheoryError("inconsistent premises: no world survives")
     result.worlds = worlds
-    # generate + optimize run once per distinct causal set, not per world
-    optimal_by_causal = {frozenset(t.causal): result.optimal}
+    # generate + optimize run once per distinct causal set, not per world;
+    # a set's closures are dropped once its optimal atoms exist
+    optimal_by_causal = {base: result.optimal}
+    closures.pop(base, None)
     for world in worlds:
         atoms = optimal_by_causal.get(world.causal)
         if atoms is None:
-            tw = t.with_causal(world.causal)
-            c = compute_closures(tw)
-            atoms = optimize(generate(tw, c), c.impco)
+            c = closures.pop(world.causal)
+            atoms = optimize(generate(t.with_causal(world.causal), c), c.impco)
             optimal_by_causal[world.causal] = atoms
         result.verified[world.index] = verify(atoms, world)
     result.verdicts = brave_cautious(result.verified, len(worlds))
@@ -185,20 +201,18 @@ def render_json(result: RunResult, config: RunConfig) -> str:
 
 # -- entry point ---------------------------------------------------------------
 
-def _merge_theories(parts: List[Theory]) -> Theory:
-    merged = parts[0]
-    for t in parts[1:]:
-        kd = merged.kind_decls if t.kind_decls is None else t.kind_decls
-        merged = Theory(
-            causal=merged.causal | t.causal,
-            ontology=merged.ontology | t.ontology,
-            facts=merged.facts | t.facts,
-            clauses=merged.clauses | t.clauses,
-            declared=merged.declared | t.declared,
-            completions=merged.completions | t.completions,
-            object_ontology=merged.object_ontology | t.object_ontology,
-            kind_decls=kd)
-    return merged
+def _merge_theories(parts: list):
+    """Field-by-field union of dataclass values of one type (theories, and
+    their kind declarations): frozensets are joined, dataclass fields are
+    merged the same way, and None counts as empty."""
+    parts = [p for p in parts if p is not None]
+    if not parts:
+        return None
+    if not dataclasses.is_dataclass(parts[0]):
+        return frozenset().union(*parts)
+    return type(parts[0])(**{
+        f.name: _merge_theories([getattr(p, f.name) for p in parts])
+        for f in dataclasses.fields(parts[0])})
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

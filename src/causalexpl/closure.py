@@ -8,20 +8,40 @@ impcos -- the strict (asymmetric) part of impco
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .model import CausalAtom, OntAtom, Symbol, Theory, symbol_universe
 
 Pair = Tuple[Symbol, Symbol]
 PairSet = FrozenSet[Pair]
+Rows = Mapping[Symbol, FrozenSet[Symbol]]
+
+
+def relation_rows(pairs: Iterable[Pair]) -> Tuple[Rows, Rows]:
+    """Read-only forward (a -> {b}) and backward (b -> {a}) rows of a
+    relation; a symbol with no pair has no row."""
+    fwd, bwd = defaultdict(set), defaultdict(set)
+    for a, b in pairs:
+        fwd[a].add(b)
+        bwd[b].add(a)
+    return tuple(MappingProxyType({s: frozenset(row) for s, row in
+                                   rows.items()}) for rows in (fwd, bwd))
 
 
 @dataclass(frozen=True)
 class ClosureRelations:
+    """The one closure index of a theory: every stage reads its pair sets
+    and their rows, which derive from the pairs and take no part in
+    equality."""
     ontt: PairSet
     impco: PairSet
     impcos: PairSet
+    ontt_supers: Rows = field(compare=False, repr=False)  # sub -> supers
+    ontt_subs: Rows = field(compare=False, repr=False)    # super -> subs
+    impco_succ: Rows = field(compare=False, repr=False)
+    impco_pred: Rows = field(compare=False, repr=False)
 
     def ontt_has(self, a: Symbol, b: Symbol) -> bool:
         return (a, b) in self.ontt
@@ -32,9 +52,7 @@ class ClosureRelations:
 
 def _reachability(edges: Iterable[Pair]) -> PairSet:
     """All (u, v) with a non-empty edge path from u to v."""
-    succ = defaultdict(set)
-    for u, v in edges:
-        succ[u].add(v)
+    succ, _ = relation_rows(edges)
     closed = set()
     for source in succ:
         reached = set()
@@ -72,8 +90,6 @@ def strict_impco(impco: PairSet) -> PairSet:
 def compute_closures(t: Theory) -> ClosureRelations:
     _, symbol_e = symbol_universe(t)
     impco = impco_closure(t.causal, t.ontology, symbol_e)
-    return ClosureRelations(
-        ontt=ont_closure(t.ontology),
-        impco=impco,
-        impcos=strict_impco(impco),
-    )
+    ontt = ont_closure(t.ontology)
+    return ClosureRelations(ontt, impco, strict_impco(impco),
+                            *relation_rows(ontt), *relation_rows(impco))

@@ -30,27 +30,21 @@ def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]
     the effect but is not already implied by i.  That fifth rule is what
     makes the double-ontology rule below well-founded.
     """
-    ontt_subs = defaultdict(set)    # super -> subs
-    ontt_supers = defaultdict(set)  # sub -> supers
-    for a, b in c.ontt:
-        ontt_subs[b].add(a)
-        ontt_supers[a].add(b)
-
     out: Set[InitialExplanation] = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         out.add(InitialExplanation(i, x, i))
-        for j in ontt_subs[x]:
+        for j in c.ontt_subs.get(x, ()):
             if c.impco_has(i, j):
                 out.add(InitialExplanation(i, j, i))
             else:
                 out.add(InitialExplanation(i, j, j))
-        for j in ontt_supers[x]:
+        for j in c.ontt_supers.get(x, ()):
             out.add(InitialExplanation(i, j, i))
-        for e in ontt_subs[x]:
+        for e in c.ontt_subs.get(x, ()):
             if not c.impco_has(i, e):
                 continue
-            for j in ontt_supers[e]:
+            for j in c.ontt_supers.get(e, ()):
                 out.add(InitialExplanation(i, j, i))
     return frozenset(out)
 
@@ -63,12 +57,6 @@ def ecinit_double_ontology(t: Theory, c: ClosureRelations,
     Only fires for (i, j) pairs with no base atom; candidates with a strictly
     weaker sibling witness (under impcos) are dropped.
     """
-    ontt_subs = defaultdict(set)
-    ontt_supers = defaultdict(set)
-    for a, b in c.ontt:
-        ontt_subs[b].add(a)
-        ontt_supers[a].add(b)
-
     blocked = set()   # (i, j) pairs already covered by a base atom
     witnesses = set() # (i, e) with ecinit(i, e, e)
     for init in base:
@@ -80,10 +68,10 @@ def ecinit_double_ontology(t: Theory, c: ClosureRelations,
     candidates: Set[InitialExplanation] = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
-        for e in ontt_subs[x]:
+        for e in c.ontt_subs.get(x, ()):
             if (i, e) not in witnesses:
                 continue
-            for j in ontt_supers[e]:
+            for j in c.ontt_supers.get(e, ()):
                 if (i, j) in blocked:
                     continue
                 candidates.add(InitialExplanation(i, j, e))
@@ -111,18 +99,13 @@ def ecinit_full(t: Theory, c: ClosureRelations,
     the step that lets a longer path collapse onto a smaller condition set.
     The gathering fixpoint therefore composes over this full relation.
     """
-    ontt_subs = defaultdict(set)
-    ontt_supers = defaultdict(set)
-    for a, b in c.ontt:
-        ontt_subs[b].add(a)
-        ontt_supers[a].add(b)
     out = set(base)
     for ca in t.causal:
         i, x = ca.cause, ca.effect
-        for e in ontt_subs[x]:
+        for e in c.ontt_subs.get(x, ()):
             if c.impco_has(i, e):
                 continue
-            for j in ontt_supers[e]:
+            for j in c.ontt_supers.get(e, ()):
                 out.add(InitialExplanation(i, j, e))
     return frozenset(out)
 

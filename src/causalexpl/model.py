@@ -260,7 +260,8 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
         if lit.negated() in t.facts:
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
-    if _ontology_has_cycle(t.ontology):
+    from .closure import ont_closure  # closure imports this module
+    if any(sub == sup for sub, sup in ont_closure(t.ontology)):
         report.warnings.append("ontology contains a cycle (cyclic IS-A is "
                                "almost certainly a modeling error)")
     symbols, _ = symbol_universe(t)
@@ -280,31 +281,3 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
                     "declaration" % (s, s.name))
     return report
 
-
-def _ontology_has_cycle(ontology: Iterable[OntAtom]) -> bool:
-    succ = {}
-    for oa in ontology:
-        succ.setdefault(oa.sub, set()).add(oa.super)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-    for start in succ:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GREY:
-                    return True
-                if c == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import FrozenSet, Set, Tuple
 
-from .closure import PairSet, compute_closures, ont_closure
+from .closure import PairSet, compute_closures, ont_closure, relation_rows
 from .model import ExplanationAtom, Symbol, Theory, canonical_conditions, symbol_universe
 
 
@@ -27,9 +27,7 @@ def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:
 
     ontt = set(ont_closure(t.ontology))
     ontt.update((s, s) for s in symbol_e)  # explicit reflexivity
-    supers = defaultdict(set)
-    for a, b in ontt:
-        supers[a].add(b)
+    supers, _ = relation_rows(ontt)  # every symbol of symbolE has a row
     impco = compute_closures(t).impco
 
     Key = Tuple[Symbol, Symbol, FrozenSet[Symbol]]

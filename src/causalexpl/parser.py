@@ -28,8 +28,11 @@ from .model import (GENERATED, OPTIMAL, VERIFIED, CausalAtom, Clause,
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__("line %d: %s" % (line, message))
+    """Malformed input; line is None for JSON input."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None
+                         else "line %d: %s" % (line, message))
         self.line = line
 
 
@@ -334,50 +337,69 @@ class _Parser:
 
 def parse_input(text: str) -> ParseResult:
     """Parse a fact file; also accepts a JSON stage report (see emit_json)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{") and _looks_like_json(stripped):
-        return _parse_json_stage(text)
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError):
+            data = None  # braces also group fact-file clauses
+        if isinstance(data, dict):
+            return _parse_json_stage(data)
     return _Parser(_tokenize(text)).parse()
 
 
-def _looks_like_json(text: str) -> bool:
+def _symbol_from_text(text) -> Symbol:
+    """One symbol in fact-file syntax, as the JSON report writes it."""
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(value, dict)
+        if isinstance(text, str) and "%" not in text:  # '%' starts a comment
+            parser = _Parser(_tokenize(text))
+            s = parser._symbol()
+            if parser._peek() is None:
+                return s
+    except ParseError:
+        pass
+    raise ParseError("not a symbol: %s" % json.dumps(text))
 
 
-def _symbol_from_text(text: str) -> Symbol:
-    if text.startswith("[") and text.endswith("]"):
-        parts = text[1:-1].split(",")
-        return Symbol(parts[0], tuple(parts[1:]))
-    return Symbol(text)
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError("%s must be a list, found %s"
+                         % (what, json.dumps(value)))
+    return value
 
 
-def _parse_json_stage(text: str) -> ParseResult:
-    data = json.loads(text)
+def _json_atom(entry, **fields) -> ExplanationAtom:
+    """One explanation object; fields override its status and world index."""
+    if not (isinstance(entry, dict)
+            and {"from", "to", "conditions"} <= entry.keys()):
+        raise ParseError("an explanation needs \"from\", \"to\" and "
+                         "\"conditions\", found %s" % json.dumps(entry))
+    fields.setdefault("status", entry.get("status", GENERATED))
+    conditions = _json_list(entry["conditions"], "\"conditions\"")
+    return ExplanationAtom(
+        _symbol_from_text(entry["from"]), _symbol_from_text(entry["to"]),
+        canonical_conditions(_symbol_from_text(c) for c in conditions),
+        **fields)
+
+
+def _parse_json_stage(data: dict) -> ParseResult:
+    """Explanation atoms of a --format json report; ParseError when its
+    shape or a symbol is malformed."""
     stage = StageFacts()
-    for entry in data.get("explanations", []):
-        atom = ExplanationAtom(
-            _symbol_from_text(entry["from"]),
-            _symbol_from_text(entry["to"]),
-            canonical_conditions(_symbol_from_text(c)
-                                 for c in entry["conditions"]),
-            status=entry.get("status", GENERATED))
+    for entry in _json_list(data.get("explanations", []),
+                            "\"explanations\""):
+        atom = _json_atom(entry)
         if atom.status == OPTIMAL:
             stage.optimal.add(atom)
         else:
             stage.generated.add(atom)
-    for world in data.get("worlds", []):
-        index = world["index"]
-        for entry in world.get("explanations", []):
-            atom = ExplanationAtom(
-                _symbol_from_text(entry["from"]),
-                _symbol_from_text(entry["to"]),
-                canonical_conditions(_symbol_from_text(c)
-                                     for c in entry["conditions"]),
-                status=VERIFIED, world_index=index)
+    for world in _json_list(data.get("worlds", []), "\"worlds\""):
+        index = world.get("index") if isinstance(world, dict) else None
+        if type(index) is not int or index < 0:
+            raise ParseError("a world needs a non-negative integer "
+                             "\"index\", found %s" % json.dumps(world))
+        for entry in _json_list(world.get("explanations", []),
+                                "\"explanations\""):
+            atom = _json_atom(entry, status=VERIFIED, world_index=index)
             stage.verified.setdefault(index, set()).add(atom)
     return ParseResult(theory=Theory(), stage=stage)
 

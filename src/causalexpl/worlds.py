@@ -11,9 +11,9 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .closure import impco_closure
+from .closure import Rows, compute_closures
 from .model import (VERIFIED, CausalAtom, Clause, ExplanationAtom, Literal,
-                    Symbol, Theory, symbol_universe)
+                    Symbol, Theory)
 
 
 class WorldOverflowError(RuntimeError):
@@ -72,27 +72,15 @@ def _assign_literals(assignment: dict, literals: Iterable[Literal],
     return True
 
 
-def _implication_index(impco) -> Tuple[dict, dict]:
-    """Forward and backward adjacency of impco: a -> {b}, b -> {a}."""
-    fwd = defaultdict(set)
-    bwd = defaultdict(set)
-    for a, b in impco:
-        fwd[a].add(b)
-        bwd[b].add(a)
-    return fwd, bwd
-
-
-def propagate_truth(truth: Dict[Symbol, bool], impco,
-                    index: Optional[Tuple[dict, dict]] = None) -> bool:
+def propagate_truth(truth: Dict[Symbol, bool], succ: Rows, pred: Rows) -> bool:
     """Forward-close true, backward-close false along impco; False on conflict.
 
-    impco is transitive, so a single pass over the assigned symbols suffices.
-    index is impco's forward and backward adjacency; it is built here when
-    the caller has none to reuse.
+    succ and pred are impco's rows (ClosureRelations.impco_succ and
+    impco_pred).  impco is transitive, so a single pass over the assigned
+    symbols suffices.
     """
-    fwd, bwd = index if index is not None else _implication_index(impco)
     for s, value in list(truth.items()):
-        targets = fwd.get(s, ()) if value else bwd.get(s, ())
+        targets = succ.get(s, ()) if value else pred.get(s, ())
         for other in targets:
             if truth.setdefault(other, value) != value:
                 return False
@@ -146,12 +134,17 @@ def _consistent_choices(facts: Iterable[Literal],
 
 
 def enumerate_worlds(t: Theory, max_worlds: int = 1024,
-                     inclusive_disjunction: bool = False) -> Tuple[World, ...]:
+                     inclusive_disjunction: bool = False,
+                     closures: Optional[dict] = None) -> Tuple[World, ...]:
     """All consistent worlds, indexed from 1 in canonical choice order.
 
+    closures maps a causal set to the ClosureRelations of t with that causal
+    set.  Entries already present are used; every causal set a combination
+    has that is missing gets its entry, built once, for the caller to reuse.
     Raises WorldOverflowError as soon as more than max_worlds worlds survive.
     """
-    _, symbol_e = symbol_universe(t)
+    if closures is None:
+        closures = {}
     axes: List[List[Tuple[Literal, ...]]] = []
     for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
         axes.append(_literal_options(clause, inclusive_disjunction))
@@ -160,8 +153,6 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
 
     worlds: List[World] = []
     base_causal = frozenset(t.causal)
-    # causal set -> (its impco, that impco's index), shared by its worlds
-    closures: Dict[FrozenSet[CausalAtom], tuple] = {}
     for groups, assignment in _consistent_choices(t.facts, axes):
         truth: Dict[Symbol, bool] = {}
         causal_truth: Dict[CausalAtom, bool] = {}
@@ -173,11 +164,10 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         for ca in causal:
             causal_truth.setdefault(ca, True)
 
-        if causal not in closures:
-            impco = impco_closure(causal, t.ontology, symbol_e)
-            closures[causal] = (impco, _implication_index(impco))
-        impco, index = closures[causal]
-        if not propagate_truth(truth, impco, index):
+        c = closures.get(causal)
+        if c is None:
+            c = closures[causal] = compute_closures(t.with_causal(causal))
+        if not propagate_truth(truth, c.impco_succ, c.impco_pred):
             continue
         if any(_clause_violated(cl, truth, causal_truth) for cl in t.clauses):
             continue

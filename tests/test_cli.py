@@ -1,7 +1,11 @@
 """CLI behaviour: stages, chaining, formats, exit codes."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalexpl import cli
 from causalexpl.cli import main
@@ -229,3 +233,117 @@ def test_causal_disjunct_reruns_generation_per_world(capsys, tmp_path):
                 for v in doc["verdicts"]}
     assert verdicts[("a", "b")] == (True, False)
     assert verdicts[("c", "b")] == (True, False)
+
+
+def test_merge_keeps_kind_declarations_of_every_file(capsys, tmp_path):
+    kinds = tmp_path / "kinds.lp"
+    kinds.write_text("onekind(heard).\n")
+    facts = tmp_path / "facts.lp"
+    facts.write_text("ont_object(loud_bell,bell).\n"
+                     "cause(x,[heard,loud_bell]).\n")
+    outputs = [run(capsys, *files, "--stage", "gen", "--lift")
+               for files in ((str(kinds), str(facts)),
+                             (str(facts), str(kinds)))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert "ecSet(x,[heard,bell],{x})." in outputs[0][1].splitlines()
+
+    clash = tmp_path / "clash.lp"
+    clash.write_text("allkind(heard).\n")
+    assert main([str(kinds), str(facts), str(clash), "--lift"]) == 1
+    assert "declared both onekind and allkind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"explanations":[{"from":"a"}]}',
+    '{"worlds":[{"explanations":[]}]}',
+    '{"explanations":"x"}',
+    '{"explanations":[{"from":"[","to":"b","conditions":["["]}]}',
+    '{"worlds":' + "[" * 100000,
+], ids=["missing-key", "world-without-index", "not-a-list", "bad-symbol",
+        "deeply-nested"])
+def test_malformed_json_stage_input_exit_1(capsys, tmp_path, diagram_file,
+                                           doc):
+    report = tmp_path / "stage.json"
+    report.write_text(doc)
+    assert main([diagram_file, str(report), "--stage", "opt"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_stage_input_outside_the_theory_exit_1(capsys, tmp_path):
+    theory = tmp_path / "theory.lp"
+    theory.write_text("cause(a,b).\n")
+    stage = tmp_path / "opt.lp"
+    stage.write_text("ecSetRes(zz,qq,{zz}).\n")
+    assert main([str(theory), str(stage), "--stage", "verify"]) == 1
+    assert "zz explains qq with qq, zz," in capsys.readouterr().err
+
+
+# -- exit-code fuzzing ----------------------------------------------------------
+
+_FUZZ_SYMBOLS = ["a", "b", "c", "[p,a]", "[p,b]"]
+_fuzz_symbol = st.sampled_from(_FUZZ_SYMBOLS)
+
+
+@st.composite
+def _fuzz_statement(draw):
+    s = draw(st.lists(_fuzz_symbol, min_size=3, max_size=3))
+    literal = draw(st.sampled_from(["true(%s)", "-true(%s)", "cause(%s,%s)",
+                                    "-cause(%s,%s)"]))
+    literal = literal % tuple(s[:literal.count("%s")])
+    return draw(st.sampled_from([
+        "cause(%s,%s)." % (s[0], s[1]), "ont(%s,%s)." % (s[0], s[1]),
+        "symbol(%s)." % s[0], literal + ".",
+        "%s v %s." % (literal, literal.lstrip("-")),
+        "%s v true(%s)." % (literal, s[2]),
+        "onekind(p).", "allkind(p).", "ont_object(a,b).", "ont_object(b,c).",
+        "ecSet(%s,%s,{%s,%s})." % (s[0], s[1], s[0], s[2]),
+        "ecSetRes(%s,%s,{%s})." % (s[0], s[1], s[0]),
+        "explVer(1,%s,%s,{%s})." % (s[0], s[1], s[0]),
+        draw(st.text(alphabet="acpv()[]{},.-% \n", max_size=10)),
+    ]))
+
+
+_json_symbol = st.one_of(st.sampled_from(_FUZZ_SYMBOLS + ["[", "a%", ""]),
+                         st.integers(), st.none())
+_json_entry = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "from": _json_symbol, "to": _json_symbol,
+        "conditions": st.one_of(st.lists(_json_symbol, max_size=3),
+                                _json_symbol),
+        "status": st.sampled_from(["generated", "optimal", "verified"])}),
+    _json_symbol)
+_json_world = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "index": st.one_of(st.integers(-1, 3), st.booleans(), st.text()),
+        "explanations": st.one_of(st.lists(_json_entry, max_size=3),
+                                  _json_entry)}),
+    _json_symbol)
+_json_report = st.fixed_dictionaries({}, optional={
+    "explanations": st.one_of(st.lists(_json_entry, max_size=3), _json_entry),
+    "worlds": st.one_of(st.lists(_json_world, max_size=2), _json_world)})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(facts=st.lists(_fuzz_statement(), max_size=8),
+       report=st.one_of(st.none(), _json_report),
+       flags=st.lists(st.sampled_from([
+           "--stage=gen", "--stage=opt", "--stage=verify", "--format=json",
+           "--lift", "--inclusive-disjunction", "--oracle", "--dump-theory",
+           "--max-worlds=0", "--max-worlds=2"]), max_size=3, unique=True))
+def test_every_input_maps_to_an_exit_code(fuzz_dir, facts, report, flags):
+    theory = fuzz_dir / "theory.lp"
+    theory.write_text("\n".join(facts))
+    files = [str(theory)]
+    if report is not None:
+        files.append(str(fuzz_dir / "report.json"))
+        (fuzz_dir / "report.json").write_text(json.dumps(report))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(files + flags)
+    assert code in (0, 1, 2), err.getvalue()

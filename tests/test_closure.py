@@ -101,3 +101,14 @@ def test_closure_monotone_under_added_atoms(seed):
     after = compute_closures(bigger)
     assert before.ontt <= after.ontt
     assert before.impco <= after.impco
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rows_hold_exactly_the_pairs(seed):
+    c = compute_closures(random_theory(random.Random(seed), acyclic=False))
+    for pairs, fwd, bwd in ((c.ontt, c.ontt_supers, c.ontt_subs),
+                            (c.impco, c.impco_succ, c.impco_pred)):
+        assert {(a, b) for a, row in fwd.items() for b in row} == pairs
+        assert {(a, b) for b, row in bwd.items() for a in row} == pairs
+        assert all(row for row in list(fwd.values()) + list(bwd.values()))

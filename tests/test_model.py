@@ -113,6 +113,8 @@ def test_validate_ontology_cycle_warns():
     t = Theory(ontology=frozenset([OntAtom(a, b), OntAtom(b, a)]))
     report = validate_theory(t)
     assert any("cycle" in w for w in report.warnings)
+    t = Theory(ontology=frozenset([OntAtom(a, b), OntAtom(b, g), OntAtom(a, g)]))
+    assert not any("cycle" in w for w in validate_theory(t).warnings)
 
 
 def test_validate_lifting_requires_kind_declarations():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalexpl import cli
-from causalexpl.closure import compute_closures, impco_closure
+from causalexpl.closure import (compute_closures, impco_closure,
+                               relation_rows)
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Theory, sym, symbol_universe)
@@ -90,16 +91,17 @@ def test_overflow_with_more_axes_than_the_recursion_limit():
 def test_truth_propagates_forward_and_backward():
     truth = {sym("beta1"): True}
     impco = frozenset([(sym("beta1"), sym("beta"))])
-    assert propagate_truth(truth, impco)
+    assert propagate_truth(truth, *relation_rows(impco))
     assert truth[sym("beta")] is True
 
     truth = {sym("gamma"): False}
     impco = frozenset([(sym("gamma1"), sym("gamma"))])
-    assert propagate_truth(truth, impco)
+    assert propagate_truth(truth, *relation_rows(impco))
     assert truth[sym("gamma1")] is False
 
     truth = {sym("a"): True, sym("b"): False}
-    assert not propagate_truth(truth, frozenset([(sym("a"), sym("b"))]))
+    impco = frozenset([(sym("a"), sym("b"))])
+    assert not propagate_truth(truth, *relation_rows(impco))
 
 
 def test_conflicting_world_discarded():
@@ -206,7 +208,7 @@ def _reference_worlds(t, inclusive):
         for ca in causal:
             causal_truth[ca] = True
         impco = impco_closure(causal, t.ontology, symbol_e)
-        if not propagate_truth(truth, impco):
+        if not propagate_truth(truth, *relation_rows(impco)):
             continue
         if any(all((causal_truth if isinstance(lit.atom, CausalAtom)
                     else truth).get(lit.atom) == (not lit.positive)
@@ -266,11 +268,20 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
         calls.append(theory.causal)
         return generate(theory, closures)
 
+    closed = []
+
+    def counting_closures(theory):
+        closed.append(theory.causal)
+        return compute_closures(theory)
+
     monkeypatch.setattr(cli, "generate", counting_generate)
+    monkeypatch.setattr(cli, "compute_closures", counting_closures)
+    monkeypatch.setattr("causalexpl.worlds.compute_closures", counting_closures)
     result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
     causal_sets = {w.causal for w in result.worlds}
     assert len(result.worlds) == 8 and len(causal_sets) == 2
     assert sorted(calls, key=len) == sorted(causal_sets, key=len)
+    assert sorted(closed, key=len) == sorted(causal_sets, key=len)
     for world in result.worlds:
         tw = t.with_causal(world.causal)
         expected = verify(optimize(generate(tw), compute_closures(tw).impco),
