@@ -5,6 +5,13 @@ itself valid input, so ``causalexpl theory.lp gen.out --stage opt`` continues
 where the previous run stopped.  Running ``--stage all`` on the theory alone
 produces bit-identical results.
 
+One rule decides where a stage's atoms come from: from stage input when the
+input holds them (``ecSet`` lines are the generated atoms, ``ecSetRes`` lines
+the optimal ones), and otherwise from the stage before.  ``--stage`` only
+says where to stop.  ``explVer``, ``brave`` and ``cautious`` lines are output
+only; a ``--format json`` report is read by its "explanations" (generated)
+and "optimal" keys.
+
 Exit codes: 0 success, 1 input error, 2 world overflow, 3 internal error.
 """
 from __future__ import annotations
@@ -13,18 +20,18 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (OPTIMAL, ExplanationAtom, Theory, symbol_universe,
+from .model import (ExplanationAtom, Theory, atom_sort_key, symbol_universe,
                     validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
-from .parser import (ParseError, StageFacts, atom_sort_key, emit_atoms,
-                     emit_theory, emit_verified, parse_input)
+from .parser import (ParseError, StageFacts, emit_atoms, emit_theory,
+                     emit_verified, parse_input)
 from .worlds import (InconsistentTheoryError, Verdict, World,
                      WorldOverflowError, brave_cautious, enumerate_worlds,
                      verify)
@@ -88,51 +95,38 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                 "not mention" % (atom.source, atom.target,
                                  ", ".join(map(str, sorted(unknown)))))
 
-    stage = config.stage
-    if config.oracle:
-        from .oracle import derive_all, optimal_subset
-        atoms = derive_all(t, max_symbols=20)
-        result.generated = atoms
-        result.optimal = frozenset(
-            replace(a, status=OPTIMAL)
-            for a in optimal_subset(atoms, compute_closures(t).impco))
-        return result
-
-    if stage == "gen":
-        result.generated = generate(t)
-        return result
-
-    if stage == "opt":
-        c = compute_closures(t)
-        result.generated = (frozenset(stage_in.generated) if stage_in.generated
-                            else generate(t, c))
-        result.optimal = optimize(result.generated, c.impco)
-        return result
-
-    # verify / all: closures are built once per causal set, here or by
+    # closures are built once per causal set, here for the base set or by
     # enumerate_worlds, and shared by generate, optimize and propagation
     base = frozenset(t.causal)
-    closures = {}
-    if stage_in.optimal:
-        result.optimal = frozenset(stage_in.optimal)
-        if stage == "all":  # verify does not emit the generated atoms
-            closures[base] = compute_closures(t)
-            result.generated = generate(t, closures[base])
-    else:
-        c = closures[base] = compute_closures(t)
-        result.generated = generate(t, c)
-        result.optimal = optimize(result.generated, c.impco)
+    closures = {base: compute_closures(t)}
+    if config.oracle:
+        from .oracle import derive_all, optimal_subset
+        result.generated = derive_all(t, max_symbols=20)
+        result.optimal = optimal_subset(result.generated, closures[base].impco)
+        return result
+
+    # a stage's atoms come from stage input when it holds them, otherwise
+    # from the stage before; the stage only says where to stop.  Generated
+    # atoms are skipped when neither emitted nor needed for the optimal ones.
+    stage = config.stage
+    if stage in ("gen", "all") or not stage_in.optimal:
+        result.generated = (frozenset(stage_in.generated)
+                            or generate(t, closures[base]))
+    if stage == "gen":
+        return result
+    result.optimal = (frozenset(stage_in.optimal)
+                      or optimize(result.generated, closures[base].impco))
+    if stage == "opt":
+        return result
 
     worlds = enumerate_worlds(t, max_worlds=config.max_worlds,
                               inclusive_disjunction=config.inclusive_disjunction,
                               closures=closures)
-    if not worlds:
-        raise InconsistentTheoryError("inconsistent premises: no world survives")
     result.worlds = worlds
     # generate + optimize run once per distinct causal set, not per world;
     # a set's closures are dropped once its optimal atoms exist
     optimal_by_causal = {base: result.optimal}
-    closures.pop(base, None)
+    del closures[base]
     for world in worlds:
         atoms = optimal_by_causal.get(world.causal)
         if atoms is None:
@@ -165,10 +159,10 @@ def render_text(result: RunResult, config: RunConfig) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _atom_json(atom: ExplanationAtom) -> dict:
+def _atom_json(atom: ExplanationAtom, stage: str) -> dict:
     return {"from": str(atom.source), "to": str(atom.target),
             "conditions": [str(s) for s in atom.conditions],
-            "status": atom.status}
+            "status": stage}
 
 
 def render_json(result: RunResult, config: RunConfig) -> str:
@@ -177,16 +171,16 @@ def render_json(result: RunResult, config: RunConfig) -> str:
         doc["warnings"] = list(result.warnings)
     stage = config.stage
     if stage in ("gen", "all") or config.oracle:
-        doc["explanations"] = [_atom_json(a) for a in
+        doc["explanations"] = [_atom_json(a, "generated") for a in
                                sorted(result.generated, key=atom_sort_key)]
     if stage in ("opt", "all") or config.oracle:
-        doc["optimal"] = [_atom_json(a) for a in
+        doc["optimal"] = [_atom_json(a, "optimal") for a in
                           sorted(result.optimal, key=atom_sort_key)]
     if stage in ("verify", "all") and not config.oracle:
         doc["worlds"] = [
             {"index": w.index,
              "facts": list(w.facts()),
-             "explanations": [_atom_json(a) for a in
+             "explanations": [_atom_json(a, "verified") for a in
                               sorted(result.verified.get(w.index, ()),
                                      key=atom_sort_key)]}
             for w in result.worlds]

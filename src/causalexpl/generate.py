@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
 from .closure import ClosureRelations, compute_closures
-from .model import (GENERATED, ExplanationAtom, Symbol, Theory,
-                    canonical_conditions)
+from .model import ExplanationAtom, Symbol, Theory, canonical_conditions
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
             if len(state[pair]) != before:
                 changed = True
 
-    return frozenset(ExplanationAtom(i, j, conds, status=GENERATED)
+    return frozenset(ExplanationAtom(i, j, conds)
                      for (i, j), sets in state.items()
                      for conds in sets)
 

@@ -139,23 +139,16 @@ def canonical_conditions(symbols: Iterable[Symbol]) -> ConditionSet:
     return out
 
 
-GENERATED = "generated"
-OPTIMAL = "optimal"
-VERIFIED = "verified"
-
-
 @dataclass(frozen=True)
 class ExplanationAtom:
     """source explains target because the condition set is jointly possible.
 
-    Identity (hash/eq) ignores the lifecycle status and world index so the
-    same atom can be tracked across stages.
+    An atom's stage (generated, optimal, verified in a world) is the
+    collection that holds it, not a field of the atom.
     """
     source: Symbol
     target: Symbol
     conditions: ConditionSet
-    status: str = field(default=GENERATED, compare=False)
-    world_index: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.source not in self.conditions:
@@ -171,6 +164,11 @@ class ExplanationAtom:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def atom_sort_key(atom: ExplanationAtom) -> tuple:
+    """The order every stage's atoms are emitted in: by rendered text."""
+    return (str(atom.source), str(atom.target), tuple(map(str, atom.conditions)))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,10 @@ first, then sets that element-wise imply a surviving sibling one-way.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 from typing import FrozenSet, Iterable
 
 from .closure import PairSet
-from .model import OPTIMAL, ConditionSet, ExplanationAtom
+from .model import ConditionSet, ExplanationAtom
 
 
 def _grouped(atoms: Iterable[ExplanationAtom]):
@@ -57,7 +56,7 @@ def entailment_subsumption(atoms: FrozenSet[ExplanationAtom], impco: PairSet
                 and not _implies_elementwise(other, atom.conditions, impco)
                 for other in conds)
             if not too_strong:
-                kept.add(replace(atom, status=OPTIMAL))
+                kept.add(atom)
     return frozenset(kept)
 
 

@@ -7,7 +7,7 @@ Accepted statements (whitespace-insensitive, period-terminated, '%' comments):
     true(a) v -true(b) v cause(c,d).        % CNF clause / disjunctive fact
     ont_object(a,b).  onekind(p).  allkind(p).  all_onekind(p).  propkind(a).
     restr(p).  kindPar(p,x,y).
-    ecSet(i,j,{a,b}).  ecSetRes(i,j,{a,b}).  explVer(1,i,j,{a,b}).
+    ecSet(i,j,{a,b}).  ecSetRes(i,j,{a,b}).
 
 Structured symbols are written in brackets: cause([own,tom,book],x).
 Braces may group clause statements, mirroring the source notation.
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .lifting import KindDeclarations, ObjectOntAtom
-from .model import (GENERATED, OPTIMAL, VERIFIED, CausalAtom, Clause,
-                    ExplanationAtom, Literal, OntAtom, Symbol, Theory,
-                    canonical_conditions)
+from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
+                    Symbol, Theory, atom_sort_key, canonical_conditions)
 
 
 class ParseError(ValueError):
@@ -73,13 +72,10 @@ class StageFacts:
     """Explanation atoms recovered from a previous stage's output."""
     generated: Set[ExplanationAtom] = field(default_factory=set)
     optimal: Set[ExplanationAtom] = field(default_factory=set)
-    verified: Dict[int, Set[ExplanationAtom]] = field(default_factory=dict)
 
     def merge(self, other: "StageFacts"):
         self.generated |= other.generated
         self.optimal |= other.optimal
-        for index, atoms in other.verified.items():
-            self.verified.setdefault(index, set()).update(atoms)
 
 
 @dataclass
@@ -241,26 +237,11 @@ class _Parser:
             return ("kindPar", (self._flat(p, head), self._flat(x, head),
                                 self._flat(y, head)), head)
         if functor in ("ecSet", "ecSetRes"):
-            i, j, conds = self._explanation_args(head, with_index=False)
-            status = GENERATED if functor == "ecSet" else OPTIMAL
-            atom = ExplanationAtom(i, j, conds, status=status)
-            return ("stage", (functor, None, atom), head)
-        if functor == "explVer":
-            index, i, j, conds = self._explanation_args(head, with_index=True)
-            atom = ExplanationAtom(i, j, conds, status=VERIFIED,
-                                   world_index=index)
-            return ("stage", (functor, index, atom), head)
+            return (functor, self._explanation(head), head)
         raise ParseError("unknown statement %r" % functor, head.line)
 
-    def _explanation_args(self, head: _Token, with_index: bool):
+    def _explanation(self, head: _Token) -> ExplanationAtom:
         self._next("(")
-        index = None
-        if with_index:
-            tok = self._next()
-            if tok.kind != "num":
-                raise ParseError("explVer expects a world index", head.line)
-            index = int(tok.text)
-            self._next(",")
         i = self._symbol()
         self._next(",")
         j = self._symbol()
@@ -273,12 +254,9 @@ class _Parser:
         self._next("}")
         self._next(")")
         try:
-            conds = canonical_conditions(members)
+            return ExplanationAtom(i, j, canonical_conditions(members))
         except ValueError as exc:
             raise ParseError(str(exc), head.line)
-        if with_index:
-            return index, i, j, conds
-        return i, j, conds
 
     # -- recording ---------------------------------------------------------
     def _record_unit(self, item, line: int):
@@ -305,14 +283,10 @@ class _Parser:
             target.add(value)
         elif tag == "kindPar":
             self.kind_par.add(value)
-        elif tag == "stage":
-            functor, index, atom = value
-            if functor == "ecSet":
-                self.stage.generated.add(atom)
-            elif functor == "ecSetRes":
-                self.stage.optimal.add(atom)
-            else:
-                self.stage.verified.setdefault(index, set()).add(atom)
+        elif tag == "ecSet":
+            self.stage.generated.add(value)
+        elif tag == "ecSetRes":
+            self.stage.optimal.add(value)
 
     def _record_clause(self, items, line: int):
         literals = []
@@ -367,40 +341,27 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _json_atom(entry, **fields) -> ExplanationAtom:
-    """One explanation object; fields override its status and world index."""
+def _json_atom(entry) -> ExplanationAtom:
+    """One explanation object; its "status" is ignored."""
     if not (isinstance(entry, dict)
             and {"from", "to", "conditions"} <= entry.keys()):
         raise ParseError("an explanation needs \"from\", \"to\" and "
                          "\"conditions\", found %s" % json.dumps(entry))
-    fields.setdefault("status", entry.get("status", GENERATED))
     conditions = _json_list(entry["conditions"], "\"conditions\"")
     return ExplanationAtom(
         _symbol_from_text(entry["from"]), _symbol_from_text(entry["to"]),
-        canonical_conditions(_symbol_from_text(c) for c in conditions),
-        **fields)
+        canonical_conditions(_symbol_from_text(c) for c in conditions))
 
 
 def _parse_json_stage(data: dict) -> ParseResult:
-    """Explanation atoms of a --format json report; ParseError when its
-    shape or a symbol is malformed."""
+    """The "explanations" (generated) and "optimal" atoms of a --format
+    json report, which is otherwise ignored; ParseError when their shape or
+    a symbol is malformed."""
     stage = StageFacts()
-    for entry in _json_list(data.get("explanations", []),
-                            "\"explanations\""):
-        atom = _json_atom(entry)
-        if atom.status == OPTIMAL:
-            stage.optimal.add(atom)
-        else:
-            stage.generated.add(atom)
-    for world in _json_list(data.get("worlds", []), "\"worlds\""):
-        index = world.get("index") if isinstance(world, dict) else None
-        if type(index) is not int or index < 0:
-            raise ParseError("a world needs a non-negative integer "
-                             "\"index\", found %s" % json.dumps(world))
-        for entry in _json_list(world.get("explanations", []),
-                                "\"explanations\""):
-            atom = _json_atom(entry, status=VERIFIED, world_index=index)
-            stage.verified.setdefault(index, set()).add(atom)
+    for key, atoms in (("explanations", stage.generated),
+                       ("optimal", stage.optimal)):
+        for entry in _json_list(data.get(key, []), "\"%s\"" % key):
+            atoms.add(_json_atom(entry))
     return ParseResult(theory=Theory(), stage=stage)
 
 
@@ -438,10 +399,6 @@ def emit_theory(t: Theory) -> str:
         for p, x, y in sorted(kd.kind_par):
             lines.append("kindPar(%s,%s,%s)." % (p, x, y))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def atom_sort_key(atom: ExplanationAtom):
-    return (str(atom.source), str(atom.target), tuple(map(str, atom.conditions)))
 
 
 def emit_atoms(atoms, functor: str) -> List[str]:

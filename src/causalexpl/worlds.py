@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .closure import Rows, compute_closures
-from .model import (VERIFIED, CausalAtom, Clause, ExplanationAtom, Literal,
-                    Symbol, Theory)
+from .model import (CausalAtom, Clause, ExplanationAtom, Literal, Symbol,
+                    Theory, atom_sort_key)
 
 
 class WorldOverflowError(RuntimeError):
@@ -183,13 +183,12 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
 
 def verify(atoms: Iterable[ExplanationAtom], world: World
            ) -> FrozenSet[ExplanationAtom]:
-    """Atoms whose condition set has no member assigned false in the world."""
-    kept = set()
-    for atom in atoms:
-        if any(world.truth.get(member) is False for member in atom.conditions):
-            continue
-        kept.add(replace(atom, status=VERIFIED, world_index=world.index))
-    return frozenset(kept)
+    """The atoms whose condition set has no member assigned false in the
+    world; the same atom objects, not copies."""
+    truth = world.truth
+    return frozenset(atom for atom in atoms
+                     if not any(truth.get(member) is False
+                                for member in atom.conditions))
 
 
 def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],
@@ -200,12 +199,12 @@ def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],
     seen = defaultdict(set)
     for index, atoms in verified_by_world.items():
         for atom in atoms:
-            seen[atom.key()].add(index)
+            seen[atom].add(index)
     verdicts = []
-    for key in sorted(seen, key=lambda k: (str(k[0]), str(k[1]),
-                                           tuple(map(str, k[2])))):
-        indices = frozenset(seen[key])
-        verdicts.append(Verdict(source=key[0], target=key[1], conditions=key[2],
+    for atom in sorted(seen, key=atom_sort_key):
+        indices = frozenset(seen[atom])
+        verdicts.append(Verdict(source=atom.source, target=atom.target,
+                                conditions=atom.conditions,
                                 verified_in=indices,
                                 brave=bool(indices),
                                 cautious=len(indices) == n_worlds))

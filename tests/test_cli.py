@@ -175,6 +175,91 @@ def test_chained_verify_skips_generation_of_base(capsys, monkeypatch,
     assert base_causal not in generated_for
 
 
+def _count_stage_calls(monkeypatch):
+    """Wrap cli.generate and cli.optimize; returns the causal sets generate
+    ran for and the atom sets optimize was given."""
+    generated_for, optimized = [], []
+    generate, optimize = cli.generate, cli.optimize
+
+    def counting_generate(theory, closures=None):
+        generated_for.append(theory.causal)
+        return generate(theory, closures)
+
+    def counting_optimize(atoms, impco):
+        optimized.append(atoms)
+        return optimize(atoms, impco)
+
+    monkeypatch.setattr(cli, "generate", counting_generate)
+    monkeypatch.setattr(cli, "optimize", counting_optimize)
+    return generated_for, optimized
+
+
+@pytest.mark.parametrize("stage", ["verify", "all"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_json_opt_report_chains(capsys, monkeypatch, tmp_path, stage, fmt):
+    src = tmp_path / "choice.lp"
+    src.write_text(FIG_TEXT + "\ncause(a,b) v cause(c,b).\n-true(gamma1).\n")
+    report = tmp_path / "opt.json"
+    assert main([str(src), "--stage", "opt", "--format", "json",
+                 "--out", str(report)]) == 0
+    code, direct = run(capsys, str(src), "--stage", stage, "--format", fmt)
+    assert code == 0
+
+    base_causal = parse_input(src.read_text()).theory.causal
+    generated_for, optimized = _count_stage_calls(monkeypatch)
+    code, chained = run(capsys, str(src), str(report), "--stage", stage,
+                        "--format", fmt)
+    assert code == 0
+    assert chained == direct
+    # the optimal atoms come from the report; only --stage all generates
+    # for the base causal set, because it emits the generated atoms
+    non_base = [c for c in generated_for if c != base_causal]
+    assert len(non_base) == 2  # one per world's causal set
+    assert generated_for.count(base_causal) == (stage == "all")
+    assert len(optimized) == len(non_base)
+
+
+def test_gen_output_chains_into_verify(capsys, monkeypatch, tmp_path,
+                                       diagram_neg_file):
+    gen = tmp_path / "gen.out"
+    assert main([diagram_neg_file, "--stage", "gen", "--out", str(gen)]) == 0
+    code, direct = run(capsys, diagram_neg_file, "--stage", "verify")
+    assert code == 0
+
+    generated_for, optimized = _count_stage_calls(monkeypatch)
+    code, chained = run(capsys, diagram_neg_file, str(gen), "--stage", "verify")
+    assert code == 0
+    assert chained == direct
+    assert generated_for == []
+    assert optimized == [frozenset(parse_input(gen.read_text())
+                                   .stage.generated)]
+
+
+def test_explver_stage_line_exit_1(capsys, tmp_path, diagram_file):
+    stage = tmp_path / "verify.lp"
+    stage.write_text("explVer(1,alpha,beta,{alpha}).\n")
+    assert main([diagram_file, str(stage), "--stage", "verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unknown statement 'explVer'" in err
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_json_sections_carry_their_status(capsys, diagram_neg_file, oracle):
+    code, out = run(capsys, diagram_neg_file, "--stage", "all",
+                    "--format", "json", *oracle)
+    assert code == 0
+    doc = json.loads(out)
+    sections = [("generated", doc["explanations"]),
+                ("optimal", doc["optimal"])]
+    sections += [("verified", w["explanations"])
+                 for w in doc.get("worlds", [])]
+    assert len(sections) == (2 if oracle else 3)
+    for status, entries in sections:
+        assert entries
+        assert {e["status"] for e in entries} == {status}
+
+
 def test_inconsistent_theory_exit_1(capsys, tmp_path):
     src = tmp_path / "inconsistent.lp"
     # the only world sets a true, but a implies b and b is false
@@ -256,11 +341,11 @@ def test_merge_keeps_kind_declarations_of_every_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("doc", [
     '{"explanations":[{"from":"a"}]}',
-    '{"worlds":[{"explanations":[]}]}',
+    '{"optimal":[{"from":"a"}]}',
     '{"explanations":"x"}',
     '{"explanations":[{"from":"[","to":"b","conditions":["["]}]}',
     '{"worlds":' + "[" * 100000,
-], ids=["missing-key", "world-without-index", "not-a-list", "bad-symbol",
+], ids=["missing-key", "optimal-missing-key", "not-a-list", "bad-symbol",
         "deeply-nested"])
 def test_malformed_json_stage_input_exit_1(capsys, tmp_path, diagram_file,
                                            doc):
@@ -321,6 +406,7 @@ _json_world = st.one_of(
     _json_symbol)
 _json_report = st.fixed_dictionaries({}, optional={
     "explanations": st.one_of(st.lists(_json_entry, max_size=3), _json_entry),
+    "optimal": st.one_of(st.lists(_json_entry, max_size=3), _json_entry),
     "worlds": st.one_of(st.lists(_json_world, max_size=2), _json_world)})
 
 

@@ -53,12 +53,6 @@ def test_explanation_atom_requires_source_membership():
         ExplanationAtom(a, d, (g,))
 
 
-def test_explanation_atom_identity_ignores_status():
-    x = ExplanationAtom(a, d, (a,), status="generated")
-    y = ExplanationAtom(a, d, (a,), status="optimal", world_index=3)
-    assert x == y and hash(x) == hash(y)
-
-
 def test_clause_tautology_and_empty():
     taut = Clause(frozenset([Literal(a, True), Literal(a, False)]))
     assert taut.is_tautology()

@@ -82,12 +82,6 @@ def test_empty_and_singleton():
     assert atom_keys(optimize(single, frozenset())) == atom_keys(single)
 
 
-def test_statuses_marked_optimal(diagram):
-    c = compute_closures(diagram)
-    for atom in optimize(generate(diagram), c.impco):
-        assert atom.status == "optimal"
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_optimize_properties(seed):

@@ -73,14 +73,15 @@ def test_lifting_facts():
 
 def test_stage_fact_lines():
     r = parse_input("ecSet(alpha,delta,{alpha,gamma1}).\n"
-                    "ecSetRes(alpha,delta,{alpha,gamma2}).\n"
-                    "explVer(2,alpha,delta,{alpha,gamma2}).")
+                    "ecSetRes(alpha,delta,{alpha,gamma2}).")
     (g,) = r.stage.generated
     assert g.key() == (sym("alpha"), sym("delta"),
                        (sym("alpha"), sym("gamma1")))
     (o,) = r.stage.optimal
-    assert o.status == "optimal"
-    assert 2 in r.stage.verified
+    assert o.key() == (sym("alpha"), sym("delta"),
+                       (sym("alpha"), sym("gamma2")))
+    with pytest.raises(ParseError, match="line 1: unknown statement"):
+        parse_input("explVer(2,alpha,delta,{alpha,gamma2}).")
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -135,6 +136,9 @@ def test_json_stage_report_parses():
       "explanations": [
         {"from": "alpha", "to": "delta",
          "conditions": ["alpha", "gamma1"], "status": "generated"}],
+      "optimal": [
+        {"from": "alpha", "to": "delta",
+         "conditions": ["alpha", "gamma1"], "status": "optimal"}],
       "worlds": [
         {"index": 1, "facts": [],
          "explanations": [{"from": "alpha", "to": "delta",
@@ -143,4 +147,5 @@ def test_json_stage_report_parses():
     r = parse_input(doc)
     (g,) = r.stage.generated
     assert g.target == sym("delta")
-    assert 1 in r.stage.verified
+    (o,) = r.stage.optimal  # the world's atoms are not read
+    assert o.conditions == (sym("alpha"), sym("gamma1"))

@@ -138,9 +138,7 @@ def test_verify_drops_atoms_with_false_member(diagram):
     gam1 = tuple(sorted((sym("alpha"), sym("gamma1"))))
     assert gam1 not in conds
     assert len(conds) == 3
-    for atom in kept:
-        assert atom.status == "verified"
-        assert atom.world_index == 1
+    assert kept <= optimal
 
 
 def test_verify_no_negative_facts_keeps_all(diagram):
