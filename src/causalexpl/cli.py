@@ -95,14 +95,22 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                 "not mention" % (atom.source, atom.target,
                                  ", ".join(map(str, sorted(unknown)))))
 
-    # closures are built once per causal set, here for the base set or by
-    # enumerate_worlds, and shared by generate, optimize and propagation
+    # closures are built once per causal set, here for the base set when a
+    # stage reads them or by enumerate_worlds, and shared by generate,
+    # optimize and propagation
     base = frozenset(t.causal)
-    closures = {base: compute_closures(t)}
+    closures = {}
+
+    def base_closures():
+        if base not in closures:
+            closures[base] = compute_closures(t)
+        return closures[base]
+
     if config.oracle:
         from .oracle import derive_all, optimal_subset
         result.generated = derive_all(t, max_symbols=20)
-        result.optimal = optimal_subset(result.generated, closures[base].impco)
+        result.optimal = optimal_subset(result.generated,
+                                        compute_closures(t).impco)
         return result
 
     # a stage's atoms come from stage input when it holds them, otherwise
@@ -111,11 +119,11 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
     stage = config.stage
     if stage in ("gen", "all") or not stage_in.optimal:
         result.generated = (frozenset(stage_in.generated)
-                            or generate(t, closures[base]))
+                            or generate(t, base_closures()))
     if stage == "gen":
         return result
     result.optimal = (frozenset(stage_in.optimal)
-                      or optimize(result.generated, closures[base].impco))
+                      or optimize(result.generated, base_closures().impco))
     if stage == "opt":
         return result
 
@@ -126,7 +134,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
     # generate + optimize run once per distinct causal set, not per world;
     # a set's closures are dropped once its optimal atoms exist
     optimal_by_causal = {base: result.optimal}
-    del closures[base]
+    closures.pop(base, None)
     for world in worlds:
         atoms = optimal_by_causal.get(world.causal)
         if atoms is None:

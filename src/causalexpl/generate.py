@@ -1,8 +1,10 @@
 """Stage 1: derive candidate explanation atoms.
 
 Initial atoms come from a handful of base rules over the closures, plus a
-double-ontology rule with dominance pruning.  Seeds are then saturated by
-the transitive condition-gathering fixpoint.
+double-ontology rule with dominance pruning.  Seeds are then extended by
+the transitive condition-gathering fixpoint, which keeps only the
+subset-minimal condition sets of each (source, target) pair (up to symbols
+on implication cycles).
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
-from .closure import ClosureRelations, compute_closures
+from .closure import ClosureRelations, compute_closures, relation_rows
 from .model import ExplanationAtom, Symbol, Theory, canonical_conditions
 
 
@@ -128,47 +130,54 @@ def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAt
 
 def gather_transitive(seeds: FrozenSet[ExplanationAtom],
                       inits: FrozenSet[InitialExplanation],
+                      cyclic: FrozenSet[Symbol] = frozenset(),
                       ) -> FrozenSet[ExplanationAtom]:
-    """Condition-gathering fixpoint.
+    """Condition-gathering fixpoint over an antichain of minimal sets.
 
-    (i,k,S) composed with an initial (k,j,e2), e2 != k, yields (i,j,S+{e2})
-    unless (i,j,S) is already derived; an initial (k,j,k) extends the path
-    without growing the set.  Additions are applied in breadth-first rounds
-    so the already-derived guard is deterministic.
+    (i,k,S) composed with an initial (k,j,e2), e2 != k, yields (i,j,S+{e2});
+    an initial (k,j,k) extends the path without growing the set.  For each
+    (i,j) only the subset-minimal sets are kept: a new set is dropped when
+    a kept set is a subset of it, and evicts the kept sets it is a strict
+    subset of.  Evaluation is semi-naive: each round composes only the sets
+    the round before added and still holds.
+
+    Dominance only applies between sets that hold the same members of
+    cyclic (symbols on an impco cycle): reduce_conditions can shrink such a
+    superset to a set the optimizer keeps.  With no cycle the result is the
+    set of subset-minimal atoms of the full saturation.
     """
     inits_from = defaultdict(list)
     for init in inits:
         inits_from[init.source].append((init.target, init.extra))
 
-    state: Dict[Tuple[Symbol, Symbol], Set[Tuple[Symbol, ...]]] = defaultdict(set)
-    for atom in seeds:
-        state[(atom.source, atom.target)].add(atom.conditions)
+    # (i, j, members in cyclic) -> the antichain of minimal condition sets
+    state: Dict[Tuple[Symbol, Symbol, FrozenSet[Symbol]],
+                Set[FrozenSet[Symbol]]] = defaultdict(set)
 
-    empty: Set[Tuple[Symbol, ...]] = set()
-    changed = True
-    while changed:
-        changed = False
-        additions = defaultdict(set)
-        for (i, k), sets in list(state.items()):
-            for conditions in sets:
-                members = set(conditions)
-                for j, e2 in inits_from.get(k, ()):
-                    if e2 == k:
-                        new = conditions
-                    else:
-                        if conditions in state.get((i, j), empty):
-                            continue
-                        new = canonical_conditions(members | {e2})
-                    if new not in state.get((i, j), empty):
-                        additions[(i, j)].add(new)
-        for pair, sets in additions.items():
-            before = len(state[pair])
-            state[pair].update(sets)
-            if len(state[pair]) != before:
-                changed = True
+    def add(i: Symbol, j: Symbol, new: FrozenSet[Symbol]) -> bool:
+        kept = state[(i, j, new & cyclic)]
+        if any(map(new.issuperset, kept)):
+            return False
+        kept.difference_update(list(filter(new.__lt__, kept)))
+        kept.add(new)
+        return True
 
-    return frozenset(ExplanationAtom(i, j, conds)
-                     for (i, j), sets in state.items()
+    delta = {(atom.source, atom.target, frozenset(atom.conditions))
+             for atom in seeds}
+    delta = {key for key in delta if add(*key)}
+    while delta:
+        added = set()
+        for i, k, conditions in delta:
+            if conditions not in state[(i, k, conditions & cyclic)]:
+                continue  # evicted since it was added
+            for j, e2 in inits_from.get(k, ()):
+                new = conditions if e2 == k else conditions | {e2}
+                if add(i, j, new):
+                    added.add((i, j, new))
+        delta = added
+
+    return frozenset(ExplanationAtom(i, j, canonical_conditions(conds))
+                     for (i, j, _), sets in state.items()
                      for conds in sets)
 
 
@@ -180,19 +189,19 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], impco
     member impco-implies it.  All reduced variants are kept alongside the
     originals; the optimizer decides what survives.
     """
+    _, implied_by = relation_rows(impco)
     out = set(atoms)
     frontier = list(atoms)
     while frontier:
         atom = frontier.pop()
-        members = set(atom.conditions)
-        for phi in atom.conditions:
+        conditions = atom.conditions
+        for n, phi in enumerate(conditions):
             if phi == atom.source:
                 continue
-            rest = members - {phi}
-            if not any((psi, phi) in impco for psi in rest):
+            rest = conditions[:n] + conditions[n + 1:]  # still canonical
+            if implied_by.get(phi, frozenset()).isdisjoint(rest):
                 continue
-            reduced = ExplanationAtom(atom.source, atom.target,
-                                      canonical_conditions(rest))
+            reduced = ExplanationAtom(atom.source, atom.target, rest)
             if reduced not in out:
                 out.add(reduced)
                 frontier.append(reduced)
@@ -205,5 +214,6 @@ def generate(t: Theory, closures: ClosureRelations = None
     c = closures if closures is not None else compute_closures(t)
     base = ecinit_base(t, c)
     seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
-    gathered = gather_transitive(seeds, ecinit_full(t, c, base))
+    cyclic = frozenset(a for a, b in c.impco - c.impcos if a != b)
+    gathered = gather_transitive(seeds, ecinit_full(t, c, base), cyclic)
     return reduce_conditions(gathered, c.impco)

@@ -1,5 +1,5 @@
-"""Shared fixtures: the running-example diagram, the pruning mini-theory,
-and a random-theory generator for oracle comparison."""
+"""Shared fixtures: the running-example diagram and its chained copies, the
+pruning mini-theory, and a random-theory generator for oracle comparison."""
 import random
 
 import pytest
@@ -26,17 +26,34 @@ def _edges(pairs, cls):
     return frozenset(cls(Symbol(a), Symbol(b)) for a, b in pairs)
 
 
+DIAGRAM_CAUSAL = [("alpha", "beta"), ("alpha", "beta0"), ("beta2", "gamma"),
+                  ("beta1", "gamma"), ("beta3", "epsilon"),
+                  ("gamma1", "delta"), ("gamma3", "delta"),
+                  ("epsilon3", "gamma3")]
+DIAGRAM_ONT = [("beta", "beta2"), ("beta1", "beta"), ("beta3", "beta0"),
+               ("beta3", "beta1"), ("gamma1", "gamma"), ("gamma2", "gamma"),
+               ("gamma2", "gamma3"), ("gamma2", "epsilon"),
+               ("epsilon1", "epsilon"), ("epsilon2", "epsilon"),
+               ("epsilon1", "epsilon3"), ("epsilon2", "epsilon3")]
+
+
 @pytest.fixture(scope="session")
 def diagram() -> Theory:
     """The 15-symbol running example."""
-    causal = [("alpha", "beta"), ("alpha", "beta0"), ("beta2", "gamma"),
-              ("beta1", "gamma"), ("beta3", "epsilon"), ("gamma1", "delta"),
-              ("gamma3", "delta"), ("epsilon3", "gamma3")]
-    ontology = [("beta", "beta2"), ("beta1", "beta"), ("beta3", "beta0"),
-                ("beta3", "beta1"), ("gamma1", "gamma"), ("gamma2", "gamma"),
-                ("gamma2", "gamma3"), ("gamma2", "epsilon"),
-                ("epsilon1", "epsilon"), ("epsilon2", "epsilon"),
-                ("epsilon1", "epsilon3"), ("epsilon2", "epsilon3")]
+    return Theory(causal=_edges(DIAGRAM_CAUSAL, CausalAtom),
+                  ontology=_edges(DIAGRAM_ONT, OntAtom))
+
+
+def chain_theory(k: int) -> Theory:
+    """k copies of the running example, copy i's symbols prefixed c{i}_,
+    with cause(c{i}_delta, c{i+1}_alpha) between consecutive copies."""
+    def copy(pairs, i):
+        return [("c%d_%s" % (i, a), "c%d_%s" % (i, b)) for a, b in pairs]
+    causal = [("c%d_delta" % i, "c%d_alpha" % (i + 1)) for i in range(k - 1)]
+    ontology = []
+    for i in range(k):
+        causal += copy(DIAGRAM_CAUSAL, i)
+        ontology += copy(DIAGRAM_ONT, i)
     return Theory(causal=_edges(causal, CausalAtom),
                   ontology=_edges(ontology, OntAtom))
 

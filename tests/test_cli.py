@@ -433,3 +433,51 @@ def test_every_input_maps_to_an_exit_code(fuzz_dir, facts, report, flags):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(files + flags)
     assert code in (0, 1, 2), err.getvalue()
+
+
+def _count_closures(monkeypatch):
+    """Count compute_closures calls from cli and worlds."""
+    built = []
+    compute_closures = cli.compute_closures
+
+    def counting_closures(theory):
+        built.append(theory.causal)
+        return compute_closures(theory)
+
+    monkeypatch.setattr(cli, "compute_closures", counting_closures)
+    monkeypatch.setattr("causalexpl.worlds.compute_closures",
+                        counting_closures)
+    return built
+
+
+def test_chained_verify_builds_no_unread_base_closures(capsys, monkeypatch,
+                                                       tmp_path):
+    # no world keeps the base causal set, and the optimal atoms are given
+    src = tmp_path / "t.lp"
+    src.write_text("cause(a,b). cause(c,d). -cause(a,b) v -cause(c,d).\n")
+    opt = tmp_path / "opt.lp"
+    assert main([str(src), "--stage", "opt", "--out", str(opt)]) == 0
+    code, direct = run(capsys, str(src), "--stage", "verify")
+    assert code == 0
+
+    built = _count_closures(monkeypatch)
+    code, chained = run(capsys, str(src), str(opt), "--stage", "verify")
+    assert code == 0
+    assert chained == direct
+    assert len(built) == 2  # one per world's causal set
+    assert parse_input(src.read_text()).theory.causal not in built
+
+
+@pytest.mark.parametrize("stage, functor", [("gen", "ecSet"),
+                                            ("opt", "ecSetRes")])
+def test_stage_input_of_the_last_stage_builds_no_closures(
+        capsys, monkeypatch, tmp_path, diagram_file, stage, functor):
+    given = tmp_path / "stage.lp"
+    assert main([diagram_file, "--stage", stage, "--out", str(given)]) == 0
+    assert given.read_text().startswith(functor + "(")
+
+    built = _count_closures(monkeypatch)
+    code, out = run(capsys, diagram_file, str(given), "--stage", stage)
+    assert code == 0
+    assert out == given.read_text()
+    assert built == []

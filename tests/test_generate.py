@@ -1,4 +1,5 @@
 """Generation stage: initial rules, seeding precedence, transitive gathering."""
+import importlib
 import random
 
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from causalexpl.generate import (InitialExplanation, ecinit_base,
                                  gather_transitive, generate, reduce_conditions,
                                  seed_ecsets)
 from causalexpl.model import CausalAtom, OntAtom, Theory, sym
-from conftest import atom_keys, random_theory
+from causalexpl.optimize import optimize
+from conftest import atom_keys, chain_theory, random_theory
 
 
 def _conds(*names):
@@ -90,8 +92,9 @@ def test_gathering_base_case_is_identity():
 def test_diagram_gathers_both_documented_paths(diagram):
     keys = atom_keys(generate(diagram))
     assert (sym("alpha"), sym("delta"), _conds("alpha", "gamma1")) in keys
+    # the longer path's set is a superset of {alpha,gamma1}: not kept
     assert (sym("alpha"), sym("delta"),
-            _conds("alpha", "beta1", "gamma1")) in keys
+            _conds("alpha", "beta1", "gamma1")) not in keys
 
 
 def test_diagram_generation_covers_all_optimal_sets(diagram):
@@ -179,3 +182,34 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
 
     assert atom_keys(optimize(guarded, c.impco)) == \
         atom_keys(optimize(unguarded, c.impco))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_gathered_sets_form_an_antichain(seed):
+    t = random_theory(random.Random(seed))
+    c = compute_closures(t)
+    base = ecinit_base(t, c)
+    seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
+    groups = {}
+    for atom in gather_transitive(seeds, ecinit_full(t, c, base)):
+        groups.setdefault((atom.source, atom.target), []).append(
+            set(atom.conditions))
+    for sets in groups.values():
+        for x in sets:
+            assert not any(y < x for y in sets)
+
+
+def test_chain_of_four_diagrams_sizes(monkeypatch):
+    generate_module = importlib.import_module("causalexpl.generate")
+    gathered = []
+
+    def counting_gather(*args):
+        gathered.append(gather_transitive(*args))
+        return gathered[-1]
+
+    monkeypatch.setattr(generate_module, "gather_transitive", counting_gather)
+    t = chain_theory(4)
+    optimal = optimize(generate(t), compute_closures(t).impco)
+    assert len(gathered[0]) == 9535
+    assert len(optimal) == 9130

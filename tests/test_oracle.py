@@ -103,6 +103,52 @@ def test_generation_sound_and_optimal_complete_vs_oracle(seed):
                    for psi in by_pair.get((i, j), []))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_optimize_matches_optimal_subset_on_all_derivations(seed, acyclic):
+    """derive_all keeps every superset, which the pipeline no longer hands
+    to the optimizer; the two prunings must still agree on it."""
+    t = random_theory(random.Random(seed), acyclic=acyclic)
+    atoms = derive_all(t)
+    impco = compute_closures(t).impco
+    assert atom_keys(optimize(atoms, impco)) == \
+        atom_keys(optimal_subset(atoms, impco))
+
+
+def _theory(causal, ontology):
+    return Theory(
+        causal=frozenset(CausalAtom(sym(a), sym(b)) for a, b in causal),
+        ontology=frozenset(OntAtom(sym(a), sym(b)) for a, b in ontology))
+
+
+# impco cycles where a superset that subset dominance would drop reduces
+# to an optimal set: on the first, {s0,s1,s4} reduces to {s1,s4}
+CYCLIC_THEORIES = {
+    "s3-s4-s0-cycle": _theory(
+        [("s0", "s1"), ("s1", "s5"), ("s3", "s5")],
+        [("s0", "s3"), ("s2", "s5"), ("s3", "s2"), ("s3", "s4"),
+         ("s4", "s0")]),
+    "s2-s4-cycle": _theory(
+        [("s0", "s2"), ("s3", "s5"), ("s4", "s6"), ("s6", "s3")],
+        [("s0", "s4"), ("s1", "s3"), ("s2", "s4"), ("s4", "s2"),
+         ("s4", "s3"), ("s5", "s3")]),
+    "s1-s3-cycle": _theory(
+        [("s0", "s2"), ("s0", "s3"), ("s1", "s0"), ("s1", "s4"),
+         ("s4", "s2"), ("s5", "s4")],
+        [("s0", "s2"), ("s1", "s3"), ("s3", "s1"), ("s3", "s5"),
+         ("s3", "s7"), ("s5", "s4"), ("s6", "s2"), ("s7", "s4")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_THEORIES))
+def test_pipeline_matches_oracle_where_dominance_meets_a_cycle(name):
+    t = CYCLIC_THEORIES[name]
+    c = compute_closures(t)
+    pipeline = atom_keys(optimize(generate(t), c.impco))
+    oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
+    assert pipeline == oracle
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="mutual-implication cycles need element substitution, which "
