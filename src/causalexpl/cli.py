@@ -12,7 +12,8 @@ says where to stop.  ``explVer``, ``brave`` and ``cautious`` lines are output
 only; a ``--format json`` report is read by its "explanations" (generated)
 and "optimal" keys.
 
-Exit codes: 0 success, 1 input error, 2 world overflow, 3 internal error.
+Exit codes: 0 success, 1 input error (an unwritable --out too), 2 world
+overflow, 3 internal error.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .model import (ExplanationAtom, Theory, atom_sort_key, symbol_universe,
                     validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
-from .parser import (ParseError, StageFacts, emit_atoms, emit_theory,
+from .parser import (STAGE_SECTIONS, StageFacts, emit_atoms, emit_theory,
                      emit_verified, parse_input)
 from .worlds import (InconsistentTheoryError, Verdict, World,
                      WorldOverflowError, brave_cautious, enumerate_worlds,
@@ -110,7 +111,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
         from .oracle import derive_all, optimal_subset
         result.generated = derive_all(t, max_symbols=20)
         result.optimal = optimal_subset(result.generated,
-                                        compute_closures(t).impco)
+                                        base_closures().impco)
         return result
 
     # a stage's atoms come from stage input when it holds them, otherwise
@@ -123,7 +124,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
     if stage == "gen":
         return result
     result.optimal = (frozenset(stage_in.optimal)
-                      or optimize(result.generated, base_closures().impco))
+                      or optimize(result.generated, base_closures()))
     if stage == "opt":
         return result
 
@@ -139,7 +140,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
         atoms = optimal_by_causal.get(world.causal)
         if atoms is None:
             c = closures.pop(world.causal)
-            atoms = optimize(generate(t.with_causal(world.causal), c), c.impco)
+            atoms = optimize(generate(t.with_causal(world.causal), c), c)
             optimal_by_causal[world.causal] = atoms
         result.verified[world.index] = verify(atoms, world)
     result.verdicts = brave_cautious(result.verified, len(worlds))
@@ -148,14 +149,18 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
 
 # -- rendering ----------------------------------------------------------------
 
+def _sections(config: RunConfig):
+    """The stage sections a run emits; the oracle emits both."""
+    return [section for section in STAGE_SECTIONS
+            if config.stage in section.stages or config.oracle]
+
+
 def render_text(result: RunResult, config: RunConfig) -> str:
     lines: List[str] = []
-    stage = config.stage
-    if stage in ("gen", "all") or config.oracle:
-        lines.extend(emit_atoms(result.generated, "ecSet"))
-    if stage in ("opt", "all") or config.oracle:
-        lines.extend(emit_atoms(result.optimal, "ecSetRes"))
-    if stage in ("verify", "all") and not config.oracle:
+    for section in _sections(config):
+        lines.extend(emit_atoms(getattr(result, section.field),
+                                section.functor))
+    if config.stage in ("verify", "all") and not config.oracle:
         lines.extend(emit_verified(result.verified))
         for v in result.verdicts:
             body = "%s,%s,{%s}" % (v.source, v.target,
@@ -177,14 +182,11 @@ def render_json(result: RunResult, config: RunConfig) -> str:
     doc: dict = {"stage": config.stage}
     if result.warnings:
         doc["warnings"] = list(result.warnings)
-    stage = config.stage
-    if stage in ("gen", "all") or config.oracle:
-        doc["explanations"] = [_atom_json(a, "generated") for a in
-                               sorted(result.generated, key=atom_sort_key)]
-    if stage in ("opt", "all") or config.oracle:
-        doc["optimal"] = [_atom_json(a, "optimal") for a in
-                          sorted(result.optimal, key=atom_sort_key)]
-    if stage in ("verify", "all") and not config.oracle:
+    for section in _sections(config):
+        doc[section.key] = [_atom_json(a, section.status) for a in
+                            sorted(getattr(result, section.field),
+                                   key=atom_sort_key)]
+    if config.stage in ("verify", "all") and not config.oracle:
         doc["worlds"] = [
             {"index": w.index,
              "facts": list(w.facts()),
@@ -203,17 +205,17 @@ def render_json(result: RunResult, config: RunConfig) -> str:
 
 # -- entry point ---------------------------------------------------------------
 
-def _merge_theories(parts: list):
-    """Field-by-field union of dataclass values of one type (theories, and
-    their kind declarations): frozensets are joined, dataclass fields are
-    merged the same way, and None counts as empty."""
+def _merge(parts: list):
+    """Field-by-field union of dataclass values of one type (theories with
+    their kind declarations, or stage facts): sets are joined, dataclass
+    fields are merged the same way, and None counts as empty."""
     parts = [p for p in parts if p is not None]
     if not parts:
         return None
     if not dataclasses.is_dataclass(parts[0]):
         return frozenset().union(*parts)
     return type(parts[0])(**{
-        f.name: _merge_theories([getattr(p, f.name) for p in parts])
+        f.name: _merge([getattr(p, f.name) for p in parts])
         for f in dataclasses.fields(parts[0])})
 
 
@@ -253,23 +255,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                        inclusive_disjunction=args.inclusive_disjunction,
                        lifting=args.lift, oracle=args.oracle, fmt=args.fmt)
     try:
-        theories, stage_in = [], StageFacts()
+        theories, stages = [], []
         warnings: List[str] = []
         for name in args.inputs:
-            text = sys.stdin.read() if name == "-" else open(name).read()
+            if name == "-":
+                text = sys.stdin.read()
+            else:
+                with open(name) as fh:
+                    text = fh.read()
             parsed = parse_input(text)
             theories.append(parsed.theory)
-            stage_in.merge(parsed.stage)
+            stages.append(parsed.stage)
             warnings.extend(parsed.warnings)
-        theory = _merge_theories(theories)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
+        theory, stage_in = _merge(theories), _merge(stages)
         if args.dump_theory:
             out = emit_theory(theory)
         else:
@@ -279,21 +277,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("warning: %s" % w, file=sys.stderr)
             out = (render_json(result, config) if config.fmt == "json"
                    else render_text(result, config))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
     except WorldOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW
-    except (ValueError, InconsistentTheoryError, OracleBoundError) as exc:
+    # unreadable input, unwritable --out, and ParseError (a ValueError)
+    except (OSError, ValueError, InconsistentTheoryError,
+            OracleBoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
-from .closure import ClosureRelations, compute_closures, relation_rows
+from .closure import ClosureRelations, compute_closures
 from .model import ExplanationAtom, Symbol, Theory, canonical_conditions
 
 
@@ -181,7 +181,7 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
                      for conds in sets)
 
 
-def reduce_conditions(atoms: FrozenSet[ExplanationAtom], impco
+def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
                       ) -> FrozenSet[ExplanationAtom]:
     """Close the atom set under single-element removal.
 
@@ -189,7 +189,6 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], impco
     member impco-implies it.  All reduced variants are kept alongside the
     originals; the optimizer decides what survives.
     """
-    _, implied_by = relation_rows(impco)
     out = set(atoms)
     frontier = list(atoms)
     while frontier:
@@ -199,7 +198,7 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], impco
             if phi == atom.source:
                 continue
             rest = conditions[:n] + conditions[n + 1:]  # still canonical
-            if implied_by.get(phi, frozenset()).isdisjoint(rest):
+            if c.impco_pred.get(phi, frozenset()).isdisjoint(rest):
                 continue
             reduced = ExplanationAtom(atom.source, atom.target, rest)
             if reduced not in out:
@@ -216,4 +215,4 @@ def generate(t: Theory, closures: ClosureRelations = None
     seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
     cyclic = frozenset(a for a, b in c.impco - c.impcos if a != b)
     gathered = gather_transitive(seeds, ecinit_full(t, c, base), cyclic)
-    return reduce_conditions(gathered, c.impco)
+    return reduce_conditions(gathered, c)

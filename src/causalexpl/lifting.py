@@ -25,7 +25,7 @@ class ObjectOntAtom:
 
     def __post_init__(self):
         if self.sub == self.super:
-            raise ValueError("reflexive object ontology atom")
+            raise ValueError("reflexive ont_object atom")
 
     def __str__(self) -> str:
         return "ont_object(%s,%s)" % (self.sub, self.super)

@@ -3,18 +3,18 @@
 Two prunings, both within a (source, target) group: strict supersets go
 first, then sets that element-wise imply a surviving sibling one-way.
 
-Both run on one interned kernel per group: each symbol of the group is a
-bit, a condition set is an int mask, and the atoms holding a symbol form an
-int bitset, so the siblings that are subsets of a mask are those outside
-the holders of every symbol outside it.  Bits never reach the output: the
-prunings return a subset of their input atoms.
+Each group is interned once and both prunings run on it: each symbol of
+the group is a bit, a condition set is an int mask, and the atoms holding a
+symbol form an int bitset, so the siblings that are subsets of a mask are
+those outside the holders of every symbol outside it.  The prunings return
+bitsets over the group's atoms; bits never reach the output.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List
 
-from .closure import PairSet, relation_rows
+from .closure import ClosureRelations, Rows
 from .model import ExplanationAtom, Symbol
 
 
@@ -62,50 +62,52 @@ def _groups(atoms: Iterable[ExplanationAtom]) -> Iterator[_Group]:
     return map(_Group, groups.values())
 
 
-def prune_supersets(atoms: FrozenSet[ExplanationAtom]) -> FrozenSet[ExplanationAtom]:
-    """Drop any condition set that strictly contains a sibling's."""
-    return frozenset(atom for g in _groups(atoms)
-                     for n, atom in enumerate(g.atoms)
-                     if g.subsets_of(g.masks[n]) == 1 << n)
+def prune_supersets(g: _Group) -> int:
+    """The bitset of g's atoms whose condition set strictly contains no
+    sibling's."""
+    return sum(1 << n for n, mask in enumerate(g.masks)
+               if g.subsets_of(mask) == 1 << n)
 
 
-def entailment_subsumption(atoms: FrozenSet[ExplanationAtom], impco: PairSet
-                           ) -> FrozenSet[ExplanationAtom]:
-    """Drop a set that one-directionally implies a sibling element-wise.
+def entailment_subsumption(g: _Group, candidates: int, succ: Rows) -> int:
+    """The bitset of the candidates of g that one-directionally imply no
+    candidate sibling element-wise; succ holds impco's forward rows.
 
     A implies B when every member of B - A is impco-implied by some member
     of A - B.  The stronger set is the less likely to be satisfiable, so the
     weaker sibling is the one worth reporting.  Mutual implication keeps
     both.
     """
-    succ, _ = relation_rows(impco)
-    kept = set()
-    for g in _groups(atoms):
-        # up[b]: the mask of the group's symbols that bit b's symbol implies
-        up = [sum(1 << g.bit[t] for t in
-                  succ.get(s, frozenset()).intersection(g.bit))
-              for s in g.bit]
+    # up[b]: the mask of the group's symbols that bit b's symbol implies
+    up = [sum(1 << g.bit[t] for t in
+              succ.get(s, frozenset()).intersection(g.bit))
+          for s in g.bit]
 
-        def implied(mask: int) -> int:
-            out = 0
-            for b in _bits(mask):
-                out |= up[b]
-            return out
+    def implied(mask: int) -> int:
+        out = 0
+        for b in _bits(mask):
+            out |= up[b]
+        return out
 
-        def implies(a: int, b: int) -> bool:
-            return not b & ~a & ~implied(a & ~b)
+    def implies(a: int, b: int) -> bool:
+        return not b & ~a & ~implied(a & ~b)
 
-        for n, atom in enumerate(g.atoms):
-            a = g.masks[n]
-            # a sibling that a implies lies within a | implied(a)
-            siblings = g.subsets_of(a | implied(a)) & ~(1 << n)
-            if not any(implies(a, g.masks[m]) and not implies(g.masks[m], a)
-                       for m in _bits(siblings)):
-                kept.add(atom)
-    return frozenset(kept)
+    kept = 0
+    for n in _bits(candidates):
+        a = g.masks[n]
+        # a sibling that a implies lies within a | implied(a)
+        siblings = g.subsets_of(a | implied(a)) & candidates & ~(1 << n)
+        if not any(implies(a, g.masks[m]) and not implies(g.masks[m], a)
+                   for m in _bits(siblings)):
+            kept |= 1 << n
+    return kept
 
 
-def optimize(atoms: FrozenSet[ExplanationAtom], impco: PairSet
+def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
              ) -> FrozenSet[ExplanationAtom]:
-    """Composition of the two prunings; never invents atoms."""
-    return entailment_subsumption(prune_supersets(atoms), impco)
+    """Both prunings, one interned group per (source, target); never
+    invents atoms."""
+    return frozenset(
+        g.atoms[n] for g in _groups(atoms)
+        for n in _bits(entailment_subsumption(g, prune_supersets(g),
+                                              c.impco_succ)))

@@ -2,13 +2,14 @@
 
 Accepted statements (whitespace-insensitive, period-terminated, '%' comments):
 
-    symbol(a).                      cause(a,b).         ont(a,b).
-    true(a).                        -true(a).
+    cause(a,b).  true(a).  -true(a).
     true(a) v -true(b) v cause(c,d).        % CNF clause / disjunctive fact
-    ont_object(a,b).  onekind(p).  allkind(p).  all_onekind(p).  propkind(a).
-    restr(p).  kindPar(p,x,y).
+    symbol(a).  ont(a,b).  ont_object(a,b).  onekind(p).  allkind(p).
+    all_onekind(p).  propkind(p).  restr(p).  kindPar(p,x,y).
     ecSet(i,j,{a,b}).  ecSetRes(i,j,{a,b}).
 
+UNIT_STATEMENTS declares symbol ... kindPar, and STAGE_SECTIONS ecSet and
+ecSetRes; parsing, emission and rendering read these two tables.
 Structured symbols are written in brackets: cause([own,tom,book],x).
 Braces may group clause statements, mirroring the source notation.
 A two-literal clause over complementary polarities of one atom is read as a
@@ -16,14 +17,42 @@ completion request for that atom, not as a (tautological) clause.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .lifting import KindDeclarations, ObjectOntAtom
 from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
                     Symbol, Theory, atom_sort_key, canonical_conditions)
+
+
+# A unit statement adds make(*arguments) to the Theory or KindDeclarations
+# field of that name; a plain one takes plain object names, as strings.
+UnitStatement = namedtuple("UnitStatement", "field arity plain make")
+UNIT_STATEMENTS: Dict[str, UnitStatement] = {
+    "symbol": UnitStatement("declared", 1, False, lambda s: s),
+    "ont": UnitStatement("ontology", 2, False, OntAtom),
+    "ont_object": UnitStatement("object_ontology", 2, True, ObjectOntAtom),
+    "onekind": UnitStatement("onekind", 1, True, str),
+    "allkind": UnitStatement("allkind", 1, True, str),
+    "all_onekind": UnitStatement("all_onekind", 1, True, str),
+    "propkind": UnitStatement("propkind", 1, True, str),
+    "restr": UnitStatement("restricted", 1, True, str),
+    "kindPar": UnitStatement("kind_par", 3, True, lambda *names: names),
+}
+
+# The explanation atoms of one stage: their StageFacts (and RunResult)
+# field, fact-file functor, --format json key and "status", and the --stage
+# values that emit them.
+StageSection = namedtuple("StageSection", "field functor key status stages")
+STAGE_SECTIONS = (
+    StageSection("generated", "ecSet", "explanations", "generated",
+                 ("gen", "all")),
+    StageSection("optimal", "ecSetRes", "optimal", "optimal", ("opt", "all")),
+)
 
 
 class ParseError(ValueError):
@@ -73,10 +102,6 @@ class StageFacts:
     generated: Set[ExplanationAtom] = field(default_factory=set)
     optimal: Set[ExplanationAtom] = field(default_factory=set)
 
-    def merge(self, other: "StageFacts"):
-        self.generated |= other.generated
-        self.optimal |= other.optimal
-
 
 @dataclass
 class ParseResult:
@@ -90,19 +115,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.warnings: List[str] = []
-        self.causal: Set[CausalAtom] = set()
-        self.ontology: Set[OntAtom] = set()
-        self.facts: Set[Literal] = set()
-        self.clauses: Set[Clause] = set()
-        self.declared: Set[Symbol] = set()
-        self.completions: Set[object] = set()
-        self.object_ontology: Set[ObjectOntAtom] = set()
-        self.onekind: Set[str] = set()
-        self.allkind: Set[str] = set()
-        self.all_onekind: Set[str] = set()
-        self.propkind: Set[str] = set()
-        self.restricted: Set[str] = set()
-        self.kind_par: Set[Tuple[str, str, str]] = set()
+        # Theory and KindDeclarations field name -> the values recorded
+        self.sets: Dict[str, Set] = defaultdict(set)
         self.stage = StageFacts()
 
     # -- token plumbing ----------------------------------------------------
@@ -133,24 +147,15 @@ class _Parser:
                 self._next()  # clause-group braces are decorative
                 continue
             self._statement()
-        theory = Theory(
-            causal=frozenset(self.causal),
-            ontology=frozenset(self.ontology),
-            facts=frozenset(self.facts),
-            clauses=frozenset(self.clauses),
-            declared=frozenset(self.declared),
-            completions=frozenset(self.completions),
-            object_ontology=frozenset(self.object_ontology),
-            kind_decls=KindDeclarations(
-                onekind=frozenset(self.onekind),
-                allkind=frozenset(self.allkind),
-                all_onekind=frozenset(self.all_onekind),
-                propkind=frozenset(self.propkind),
-                restricted=frozenset(self.restricted),
-                kind_par=frozenset(self.kind_par)),
-        )
+        theory = self._frozen(Theory, kind_decls=self._frozen(KindDeclarations))
         return ParseResult(theory=theory, stage=self.stage,
                            warnings=self.warnings)
+
+    def _frozen(self, cls, **given):
+        """The dataclass cls with its other fields the recorded sets."""
+        return cls(**given, **{f.name: frozenset(self.sets[f.name])
+                               for f in dataclasses.fields(cls)
+                               if f.name not in given})
 
     def _statement(self):
         start = self._peek().line
@@ -176,29 +181,21 @@ class _Parser:
             return Symbol(parts[0], tuple(parts[1:]))
         return Symbol(self._name().text)
 
-    def _args(self, minimum: int, maximum: int, head: _Token) -> List:
+    def _args(self, count: int, head: _Token) -> List:
         self._next("(")
         out = [self._symbol()]
         while self._peek() is not None and self._peek().text == ",":
             self._next()
             out.append(self._symbol())
         self._next(")")
-        if not minimum <= len(out) <= maximum:
-            raise ParseError("%s expects %s argument(s), found %d"
-                             % (head.text,
-                                minimum if minimum == maximum
-                                else "%d..%d" % (minimum, maximum),
-                                len(out)), head.line)
+        if len(out) != count:
+            raise ParseError("%s expects %d argument(s), found %d"
+                             % (head.text, count, len(out)), head.line)
         return out
 
-    def _flat(self, s: Symbol, head: _Token) -> str:
-        if s.structured:
-            raise ParseError("%s expects plain object names" % head.text,
-                             head.line)
-        return s.name
-
     def _literal_or_fact(self):
-        """One functor application, optionally negated; returns a tagged value."""
+        """One functor application, optionally negated, as (where, value,
+        head): where is "lit" for a literal, else the set it is added to."""
         negative = False
         tok = self._peek()
         if tok is not None and tok.text == "-":
@@ -208,36 +205,31 @@ class _Parser:
         functor = head.text
 
         if functor == "true":
-            (s,) = self._args(1, 1, head)
+            (s,) = self._args(1, head)
             return ("lit", Literal(s, not negative), head)
         if functor == "cause":
-            a, b = self._args(2, 2, head)
+            a, b = self._args(2, head)
             return ("lit", Literal(CausalAtom(a, b), not negative), head)
         if negative:
             raise ParseError("'-' applies to true/1 and cause/2 only", head.line)
 
-        if functor == "symbol":
-            (s,) = self._args(1, 1, head)
-            return ("symbol", s, head)
-        if functor == "ont":
-            a, b = self._args(2, 2, head)
-            return ("ont", OntAtom(a, b), head)
-        if functor == "ont_object":
-            a, b = self._args(2, 2, head)
-            if a == b:
-                raise ParseError("reflexive ont_object atom", head.line)
-            return ("ont_object",
-                    ObjectOntAtom(self._flat(a, head), self._flat(b, head)),
-                    head)
-        if functor in ("onekind", "allkind", "all_onekind", "propkind", "restr"):
-            (s,) = self._args(1, 1, head)
-            return (functor, self._flat(s, head), head)
-        if functor == "kindPar":
-            p, x, y = self._args(3, 3, head)
-            return ("kindPar", (self._flat(p, head), self._flat(x, head),
-                                self._flat(y, head)), head)
-        if functor in ("ecSet", "ecSetRes"):
-            return (functor, self._explanation(head), head)
+        unit = UNIT_STATEMENTS.get(functor)
+        if unit is not None:
+            args = self._args(unit.arity, head)
+            # make's own check (a reflexive ont_object) comes first; a
+            # plain symbol's text is its name
+            try:
+                value = unit.make(*(map(str, args) if unit.plain else args))
+            except ValueError as exc:
+                raise ParseError(str(exc), head.line)
+            if unit.plain and any(s.structured for s in args):
+                raise ParseError("%s expects plain object names" % functor,
+                                 head.line)
+            return (self.sets[unit.field], value, head)
+        for section in STAGE_SECTIONS:
+            if functor == section.functor:
+                return (getattr(self.stage, section.field),
+                        self._explanation(head), head)
         raise ParseError("unknown statement %r" % functor, head.line)
 
     def _explanation(self, head: _Token) -> ExplanationAtom:
@@ -260,33 +252,16 @@ class _Parser:
 
     # -- recording ---------------------------------------------------------
     def _record_unit(self, item, line: int):
-        tag, value = item[0], item[1]
-        if tag == "lit":
-            if isinstance(value.atom, CausalAtom) and value.positive:
-                self.causal.add(value.atom)
-                return
-            if value.negated() in self.facts:
-                raise ParseError("contradictory unit facts on %s" % value.atom,
-                                 line)
-            self.facts.add(value)
-        elif tag == "symbol":
-            self.declared.add(value)
-        elif tag == "ont":
-            self.ontology.add(value)
-        elif tag == "ont_object":
-            self.object_ontology.add(value)
-        elif tag in ("onekind", "allkind", "all_onekind", "propkind", "restr"):
-            target = {"onekind": self.onekind, "allkind": self.allkind,
-                      "all_onekind": self.all_onekind,
-                      "propkind": self.propkind,
-                      "restr": self.restricted}[tag]
-            target.add(value)
-        elif tag == "kindPar":
-            self.kind_par.add(value)
-        elif tag == "ecSet":
-            self.stage.generated.add(value)
-        elif tag == "ecSetRes":
-            self.stage.optimal.add(value)
+        where, value = item[0], item[1]
+        if where != "lit":
+            where.add(value)
+        elif isinstance(value.atom, CausalAtom) and value.positive:
+            self.sets["causal"].add(value.atom)
+        elif value.negated() in self.sets["facts"]:
+            raise ParseError("contradictory unit facts on %s" % value.atom,
+                             line)
+        else:
+            self.sets["facts"].add(value)
 
     def _record_clause(self, items, line: int):
         literals = []
@@ -299,14 +274,14 @@ class _Parser:
         if len(unique) == 2:
             lits = sorted(unique, key=lambda l: l.render())
             if lits[0].atom == lits[1].atom and lits[0].positive != lits[1].positive:
-                self.completions.add(lits[0].atom)
+                self.sets["completions"].add(lits[0].atom)
                 return
         clause = Clause(unique)
         if clause.is_tautology():
             self.warnings.append("line %d: tautology dropped: %s"
                                  % (line, clause))
             return
-        self.clauses.add(clause)
+        self.sets["clauses"].add(clause)
 
 
 def parse_input(text: str) -> ParseResult:
@@ -358,10 +333,10 @@ def _parse_json_stage(data: dict) -> ParseResult:
     json report, which is otherwise ignored; ParseError when their shape or
     a symbol is malformed."""
     stage = StageFacts()
-    for key, atoms in (("explanations", stage.generated),
-                       ("optimal", stage.optimal)):
-        for entry in _json_list(data.get(key, []), "\"%s\"" % key):
-            atoms.add(_json_atom(entry))
+    for section in STAGE_SECTIONS:
+        for entry in _json_list(data.get(section.key, []),
+                                "\"%s\"" % section.key):
+            getattr(stage, section.field).add(_json_atom(entry))
     return ParseResult(theory=Theory(), stage=stage)
 
 
@@ -371,33 +346,27 @@ def parse_theory(text: str) -> Theory:
 
 # -- emission ---------------------------------------------------------------
 
+def _emit_units(values, fields) -> List[str]:
+    """The unit statements of the given fields of values, in table order."""
+    return ["%s(%s)." % (functor, ",".join(v) if unit.arity > 1 else v)
+            for functor, unit in UNIT_STATEMENTS.items()
+            if unit.field in fields
+            for v in sorted(getattr(values, unit.field))]
+
+
 def emit_theory(t: Theory) -> str:
     """Canonical fact-file text; parse(emit_theory(parse(x))) == parse(x)."""
-    lines = []
-    for s in sorted(t.declared):
-        lines.append("symbol(%s)." % s)
-    for ca in sorted(t.causal, key=str):
-        lines.append("%s." % ca)
-    for oa in sorted(t.ontology, key=str):
-        lines.append("%s." % oa)
-    for lit in sorted(t.facts, key=lambda l: l.render()):
-        lines.append("%s." % lit)
+    lines = _emit_units(t, ("declared",))
+    for values in (t.causal, t.ontology, t.facts):
+        lines += ["%s." % x for x in sorted(values, key=str)]
     for atom in sorted(t.completions, key=str):
         pos = Literal(atom, True)
         lines.append("%s v %s." % (pos, pos.negated()))
-    for clause in sorted(t.clauses, key=lambda c: c.render()):
-        lines.append("%s." % clause)
-    for oa in sorted(t.object_ontology, key=str):
-        lines.append("%s." % oa)
-    kd = t.kind_decls
-    if kd is not None:
-        for tag, values in (("onekind", kd.onekind), ("allkind", kd.allkind),
-                            ("all_onekind", kd.all_onekind),
-                            ("propkind", kd.propkind), ("restr", kd.restricted)):
-            for name in sorted(values):
-                lines.append("%s(%s)." % (tag, name))
-        for p, x, y in sorted(kd.kind_par):
-            lines.append("kindPar(%s,%s,%s)." % (p, x, y))
+    for values in (t.clauses, t.object_ontology):
+        lines += ["%s." % x for x in sorted(values, key=str)]
+    if t.kind_decls is not None:
+        lines += _emit_units(t.kind_decls, {
+            f.name for f in dataclasses.fields(KindDeclarations)})
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -56,7 +56,7 @@ def test_criterion_1_diagram_reproduction(announce, diagram):
     def body():
         start = time.monotonic()
         c = compute_closures(diagram)
-        result = optimize(generate(diagram), c.impco)
+        result = optimize(generate(diagram), c)
         elapsed = time.monotonic() - start
         group = {a.conditions for a in result
                  if (a.source, a.target) == (sym("alpha"), sym("delta"))}
@@ -68,7 +68,7 @@ def test_criterion_1_diagram_reproduction(announce, diagram):
 def test_criterion_2_pruning_example(announce, pruning_mini):
     def body():
         c = compute_closures(pruning_mini)
-        result = optimize(generate(pruning_mini), c.impco)
+        result = optimize(generate(pruning_mini), c)
         group = {a.conditions for a in result
                  if (a.source, a.target) == (sym("alpha"), sym("gamma"))}
         assert group == {_conds("alpha", "beta1")}
@@ -114,7 +114,7 @@ def test_criterion_5_oracle_equivalence(announce):
         for _ in range(500):
             t = random_theory(rng, max_symbols=8, max_causal=10, max_ont=10)
             c = compute_closures(t)
-            pipeline = atom_keys(optimize(generate(t), c.impco))
+            pipeline = atom_keys(optimize(generate(t), c))
             oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
             assert pipeline == oracle, "mismatch on %s" % emit_theory(t)
         assert time.monotonic() - start < 60.0
@@ -170,7 +170,7 @@ def test_criterion_7_verification_semantics(announce, diagram):
         t = Theory(causal=diagram.causal, ontology=diagram.ontology,
                    facts=frozenset([Literal(sym("gamma1"), False)]))
         c = compute_closures(t)
-        optimal = optimize(generate(t), c.impco)
+        optimal = optimize(generate(t), c)
         worlds = enumerate_worlds(t)
         assert len(worlds) == 1
         kept = verify(optimal, worlds[0])
@@ -190,8 +190,8 @@ def test_criterion_8_invariant_suites(announce, diagram, tmp_path, capsys):
         for _ in range(40):
             t = random_theory(rng)
             c = compute_closures(t)
-            result = optimize(generate(t), c.impco)
-            assert atom_keys(optimize(result, c.impco)) == atom_keys(result)
+            result = optimize(generate(t), c)
+            assert atom_keys(optimize(result, c)) == atom_keys(result)
             groups = {}
             for atom in result:
                 groups.setdefault((atom.source, atom.target), []).append(

@@ -112,6 +112,17 @@ def test_missing_file_exit_1(capsys, tmp_path):
     assert main([str(tmp_path / "absent.lp")]) == 1
 
 
+@pytest.mark.parametrize("target", ["absent_dir/out.lp", "."])
+def test_unwritable_out_exit_1(capsys, tmp_path, diagram_file, target):
+    """A missing directory or a directory as --out is an error message and
+    exit code 1, not a traceback."""
+    code = main([diagram_file, "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(tmp_path) in err
+
+
 def test_parse_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.lp"
     bad.write_text("ont(a).")
@@ -185,9 +196,9 @@ def _count_stage_calls(monkeypatch):
         generated_for.append(theory.causal)
         return generate(theory, closures)
 
-    def counting_optimize(atoms, impco):
+    def counting_optimize(atoms, closures):
         optimized.append(atoms)
-        return optimize(atoms, impco)
+        return optimize(atoms, closures)
 
     monkeypatch.setattr(cli, "generate", counting_generate)
     monkeypatch.setattr(cli, "optimize", counting_optimize)

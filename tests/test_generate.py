@@ -116,20 +116,20 @@ def test_sibling_specialisation_not_explained():
 def test_reduce_conditions_drops_implied_member():
     # b impco-implies c, so {a,b,c} also yields {a,b}; a itself is kept.
     a, b, ccc = sym("a"), sym("b"), sym("c")
-    impco = frozenset([(b, ccc)])
+    c = compute_closures(Theory(causal=frozenset([CausalAtom(b, ccc)])))
     from causalexpl.model import ExplanationAtom
     atoms = frozenset([ExplanationAtom(a, sym("t"), _conds("a", "b", "c"))])
-    reduced = atom_keys(reduce_conditions(atoms, impco))
+    reduced = atom_keys(reduce_conditions(atoms, c))
     assert (a, sym("t"), _conds("a", "b")) in reduced
     assert (a, sym("t"), _conds("a", "b", "c")) in reduced
 
 
 def test_reduce_conditions_never_removes_the_explaining_symbol():
     a, b = sym("a"), sym("b")
-    impco = frozenset([(b, a)])
+    c = compute_closures(Theory(causal=frozenset([CausalAtom(b, a)])))
     from causalexpl.model import ExplanationAtom
     atoms = frozenset([ExplanationAtom(a, sym("t"), _conds("a", "b"))])
-    assert atom_keys(reduce_conditions(atoms, impco)) == {
+    assert atom_keys(reduce_conditions(atoms, c)) == {
         (a, sym("t"), _conds("a", "b"))}
 
 
@@ -158,7 +158,7 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
     base = ecinit_base(t, c)
     inits = ecinit_full(t, c, base)
     seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
-    guarded = reduce_conditions(gather_transitive(seeds, inits), c.impco)
+    guarded = reduce_conditions(gather_transitive(seeds, inits), c)
 
     # Unguarded variant: saturate unions without the not-ecSet suppression.
     state = {a.key() for a in seeds}
@@ -178,10 +178,10 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
                     state.add(key)
                     changed = True
     unguarded = reduce_conditions(
-        frozenset(ExplanationAtom(i, j, cs) for i, j, cs in state), c.impco)
+        frozenset(ExplanationAtom(i, j, cs) for i, j, cs in state), c)
 
-    assert atom_keys(optimize(guarded, c.impco)) == \
-        atom_keys(optimize(unguarded, c.impco))
+    assert atom_keys(optimize(guarded, c)) == \
+        atom_keys(optimize(unguarded, c))
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,6 +210,6 @@ def test_chain_of_four_diagrams_sizes(monkeypatch):
 
     monkeypatch.setattr(generate_module, "gather_transitive", counting_gather)
     t = chain_theory(4)
-    optimal = optimize(generate(t), compute_closures(t).impco)
+    optimal = optimize(generate(t), compute_closures(t))
     assert len(gathered[0]) == 9535
     assert len(optimal) == 9130

@@ -1,4 +1,5 @@
 """Optimizer stage: subset pruning and element-wise entailment subsumption."""
+import importlib
 import random
 
 from hypothesis import given, settings
@@ -6,10 +7,10 @@ from hypothesis import strategies as st
 
 from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
-from causalexpl.model import ExplanationAtom, sym
-from causalexpl.optimize import (entailment_subsumption, optimize,
-                                 prune_supersets)
-from conftest import atom_keys, random_theory
+from causalexpl.model import CausalAtom, ExplanationAtom, Theory, sym
+from causalexpl.optimize import (_bits, _groups, entailment_subsumption,
+                                 optimize, prune_supersets)
+from conftest import atom_keys, chain_theory, random_theory
 
 
 def _conds(*names):
@@ -20,25 +21,46 @@ def _atoms(*triples):
     return frozenset(ExplanationAtom(s, t, c) for s, t, c in triples)
 
 
+def _closures(*causal):
+    """The closure index of a theory of cause(a,b) atoms only."""
+    return compute_closures(Theory(causal=frozenset(
+        CausalAtom(sym(a), sym(b)) for a, b in causal)))
+
+
+def _prune_supersets(atoms):
+    """The atoms the per-group superset kernel keeps, over all groups."""
+    return frozenset(g.atoms[n] for g in _groups(atoms)
+                     for n in _bits(prune_supersets(g)))
+
+
+def _entailment_subsumption(atoms, c):
+    """The atoms the per-group entailment kernel keeps when every atom of
+    a group is a candidate."""
+    return frozenset(
+        g.atoms[n] for g in _groups(atoms)
+        for n in _bits(entailment_subsumption(
+            g, (1 << len(g.atoms)) - 1, c.impco_succ)))
+
+
 def test_superset_pruning_keeps_smaller_path(diagram):
     a, d = sym("alpha"), sym("delta")
     atoms = _atoms((a, d, _conds("alpha", "gamma1")),
                    (a, d, _conds("alpha", "beta1", "gamma1")))
-    assert atom_keys(prune_supersets(atoms)) == {
+    assert atom_keys(_prune_supersets(atoms)) == {
         (a, d, _conds("alpha", "gamma1"))}
 
 
 def test_superset_pruning_only_within_same_pair():
     atoms = _atoms((sym("a"), sym("x"), _conds("a")),
                    (sym("a"), sym("y"), _conds("a", "b")))
-    assert prune_supersets(atoms) == atoms
+    assert _prune_supersets(atoms) == atoms
 
 
 def test_incomparable_sets_both_kept():
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
-    assert prune_supersets(atoms) == atoms
-    assert atom_keys(entailment_subsumption(atoms, frozenset())) == \
+    assert _prune_supersets(atoms) == atoms
+    assert atom_keys(_entailment_subsumption(atoms, _closures())) == \
         atom_keys(atoms)
 
 
@@ -46,21 +68,21 @@ def test_one_way_domination_drops_stronger_set():
     # b implies c one-way: {a,b} is the stronger (less satisfiable) set.
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
-    impco = frozenset([(sym("b"), sym("c"))])
-    assert atom_keys(entailment_subsumption(atoms, impco)) == {
+    c = _closures(("b", "c"))
+    assert atom_keys(_entailment_subsumption(atoms, c)) == {
         (sym("a"), sym("x"), _conds("a", "c"))}
 
 
 def test_mutual_domination_keeps_both():
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
-    impco = frozenset([(sym("b"), sym("c")), (sym("c"), sym("b"))])
-    assert atom_keys(entailment_subsumption(atoms, impco)) == atom_keys(atoms)
+    c = _closures(("b", "c"), ("c", "b"))
+    assert atom_keys(_entailment_subsumption(atoms, c)) == atom_keys(atoms)
 
 
 def test_pruning_mini_theory_keeps_weaker_explanation(pruning_mini):
     c = compute_closures(pruning_mini)
-    result = optimize(generate(pruning_mini), c.impco)
+    result = optimize(generate(pruning_mini), c)
     group = {a.conditions for a in result
              if (a.source, a.target) == (sym("alpha"), sym("gamma"))}
     assert group == {_conds("alpha", "beta1")}
@@ -68,7 +90,7 @@ def test_pruning_mini_theory_keeps_weaker_explanation(pruning_mini):
 
 def test_diagram_optimal_sets(diagram):
     c = compute_closures(diagram)
-    result = optimize(generate(diagram), c.impco)
+    result = optimize(generate(diagram), c)
     group = {a.conditions for a in result
              if (a.source, a.target) == (sym("alpha"), sym("delta"))}
     assert group == {_conds("alpha", "gamma1"), _conds("alpha", "gamma2"),
@@ -77,9 +99,26 @@ def test_diagram_optimal_sets(diagram):
 
 
 def test_empty_and_singleton():
-    assert optimize(frozenset(), frozenset()) == frozenset()
+    assert optimize(frozenset(), _closures()) == frozenset()
     single = _atoms((sym("a"), sym("x"), _conds("a")))
-    assert atom_keys(optimize(single, frozenset())) == atom_keys(single)
+    assert atom_keys(optimize(single, _closures())) == atom_keys(single)
+
+
+def test_optimize_interns_each_group_once(monkeypatch):
+    optimize_module = importlib.import_module("causalexpl.optimize")
+    t = chain_theory(1)
+    c = compute_closures(t)
+    generated = generate(t, c)
+    built = []
+
+    class CountingGroup(optimize_module._Group):
+        def __init__(self, atoms):
+            built.append((atoms[0].source, atoms[0].target))
+            super().__init__(atoms)
+
+    monkeypatch.setattr(optimize_module, "_Group", CountingGroup)
+    optimize(generated, c)
+    assert sorted(built) == sorted({(a.source, a.target) for a in generated})
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,12 +127,12 @@ def test_optimize_properties(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
     generated = generate(t)
-    result = optimize(generated, c.impco)
+    result = optimize(generated, c)
 
     # never invents atoms
     assert atom_keys(result) <= atom_keys(generated)
     # idempotent
-    assert atom_keys(optimize(result, c.impco)) == atom_keys(result)
+    assert atom_keys(optimize(result, c)) == atom_keys(result)
 
     # antichain under subset inclusion, no surviving one-way domination
     groups = {}

@@ -74,7 +74,7 @@ def test_derive_all_monotone(seed):
 def test_pipeline_matches_oracle_on_acyclic_theories(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
-    pipeline = atom_keys(optimize(generate(t), c.impco))
+    pipeline = atom_keys(optimize(generate(t), c))
     oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
     assert pipeline == oracle
 
@@ -110,9 +110,9 @@ def test_optimize_matches_optimal_subset_on_all_derivations(seed, acyclic):
     to the optimizer; the two prunings must still agree on it."""
     t = random_theory(random.Random(seed), acyclic=acyclic)
     atoms = derive_all(t)
-    impco = compute_closures(t).impco
-    assert atom_keys(optimize(atoms, impco)) == \
-        atom_keys(optimal_subset(atoms, impco))
+    c = compute_closures(t)
+    assert atom_keys(optimize(atoms, c)) == \
+        atom_keys(optimal_subset(atoms, c.impco))
 
 
 def _theory(causal, ontology):
@@ -144,7 +144,7 @@ CYCLIC_THEORIES = {
 def test_pipeline_matches_oracle_where_dominance_meets_a_cycle(name):
     t = CYCLIC_THEORIES[name]
     c = compute_closures(t)
-    pipeline = atom_keys(optimize(generate(t), c.impco))
+    pipeline = atom_keys(optimize(generate(t), c))
     oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
     assert pipeline == oracle
 
@@ -166,6 +166,6 @@ def test_pipeline_matches_oracle_on_a_cyclic_theory():
                             OntAtom(sym("s2"), sym("s0")),
                             OntAtom(sym("s2"), sym("s4"))]))
     c = compute_closures(t)
-    pipeline = atom_keys(optimize(generate(t), c.impco))
+    pipeline = atom_keys(optimize(generate(t), c))
     oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
     assert pipeline == oracle

@@ -2,8 +2,8 @@
 import pytest
 
 from causalexpl.model import CausalAtom, Literal, OntAtom, Symbol, sym
-from causalexpl.parser import (ParseError, emit_atoms, emit_theory,
-                               parse_input, parse_theory)
+from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_atoms,
+                               emit_theory, parse_input, parse_theory)
 
 
 def test_basic_facts():
@@ -123,6 +123,32 @@ def test_round_trip_covers_all_statement_kinds():
     """
     first = parse_input(src).theory
     assert parse_input(emit_theory(first)).theory == first
+
+
+@pytest.mark.parametrize("functor", sorted(UNIT_STATEMENTS))
+def test_every_unit_statement_parses_emits_and_checks(functor):
+    unit = UNIT_STATEMENTS[functor]
+    args = ["n%d" % i for i in range(unit.arity)]
+    line = "%s(%s)." % (functor, ",".join(args))
+    first = parse_input(line).theory
+    assert first != parse_input("").theory
+    assert line in emit_theory(first).splitlines()
+    assert parse_input(emit_theory(first)).theory == first
+
+    with pytest.raises(ParseError) as err:
+        parse_input("\n%s(%s)." % (functor, ",".join(args + ["extra"])))
+    assert str(err.value) == "line 2: %s expects %d argument(s), found %d" \
+        % (functor, unit.arity, unit.arity + 1)
+
+    bracketed = "%s([p,q]%s)." % (functor, "".join(",%s" % a
+                                                    for a in args[1:]))
+    if unit.plain:
+        with pytest.raises(ParseError) as err:
+            parse_input(bracketed)
+        assert str(err.value) == \
+            "line 1: %s expects plain object names" % functor
+    else:
+        assert parse_input(bracketed).theory != parse_input("").theory
 
 
 def test_emit_atoms_canonical_order():

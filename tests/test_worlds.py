@@ -130,7 +130,7 @@ def test_verify_drops_atoms_with_false_member(diagram):
     t = Theory(causal=diagram.causal, ontology=diagram.ontology,
                facts=frozenset([Literal(sym("gamma1"), False)]))
     c = compute_closures(t)
-    optimal = optimize(generate(t), c.impco)
+    optimal = optimize(generate(t), c)
     (world,) = enumerate_worlds(t)
     kept = verify(optimal, world)
     conds = {a.conditions for a in kept
@@ -143,7 +143,7 @@ def test_verify_drops_atoms_with_false_member(diagram):
 
 def test_verify_no_negative_facts_keeps_all(diagram):
     c = compute_closures(diagram)
-    optimal = optimize(generate(diagram), c.impco)
+    optimal = optimize(generate(diagram), c)
     (world,) = enumerate_worlds(diagram)
     assert {a.key() for a in verify(optimal, world)} == \
         {a.key() for a in optimal}
@@ -166,7 +166,7 @@ def test_brave_cautious_no_worlds_raises():
 def test_negative_fact_monotone(diagram):
     """Adding a -true fact never grows the verified set."""
     c = compute_closures(diagram)
-    optimal = optimize(generate(diagram), c.impco)
+    optimal = optimize(generate(diagram), c)
     (base_world,) = enumerate_worlds(diagram)
     base = {a.key() for a in verify(optimal, base_world)}
     for name in ("gamma1", "beta3", "epsilon"):
@@ -282,6 +282,6 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
     assert sorted(closed, key=len) == sorted(causal_sets, key=len)
     for world in result.worlds:
         tw = t.with_causal(world.causal)
-        expected = verify(optimize(generate(tw), compute_closures(tw).impco),
+        expected = verify(optimize(generate(tw), compute_closures(tw)),
                           world)
         assert result.verified[world.index] == expected
