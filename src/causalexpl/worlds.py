@@ -59,27 +59,28 @@ def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...
     return options
 
 
-def _assign_literals(assignment: dict, literals: Iterable[Literal],
-                     added: list) -> bool:
-    """Assign each literal, listing newly assigned atoms in added; False on
-    conflict (the atoms assigned before it stay listed, for undoing)."""
-    for lit in literals:
-        if lit.atom not in assignment:
-            assignment[lit.atom] = lit.positive
-            added.append(lit.atom)
-        elif assignment[lit.atom] != lit.positive:
-            return False
-    return True
+def _assign_literals(assignment: dict, literals: Iterable[Literal]) -> bool:
+    """Assign each literal; False on conflict (the atoms assigned before it
+    stay, for the caller to undo)."""
+    return all(assignment.setdefault(lit.atom, lit.positive) == lit.positive
+               for lit in literals)
 
 
-def propagate_truth(truth: Dict[Symbol, bool], succ: Rows, pred: Rows) -> bool:
+def propagate_truth(truth: Dict[Symbol, bool], succ: Rows, pred: Rows,
+                    start: int = 0) -> bool:
     """Forward-close true, backward-close false along impco; False on conflict.
 
     succ and pred are impco's rows (ClosureRelations.impco_succ and
     impco_pred).  impco is transitive, so a single pass over the assigned
-    symbols suffices.
+    symbols suffices.  The entries before position start (at most
+    len(truth)), in insertion order, are taken as already closed and only
+    the later ones are read.
+    Entries are only inserted, never changed or removed, so a caller undoes
+    a call by popping truth back to its size before it.
     """
-    for s, value in list(truth.items()):
+    # read from the end, so the cost is in the entries read, not in start
+    unread = itertools.islice(reversed(truth.items()), len(truth) - start)
+    for s, value in reversed(list(unread)):
         targets = succ.get(s, ()) if value else pred.get(s, ())
         for other in targets:
             if truth.setdefault(other, value) != value:
@@ -98,39 +99,67 @@ def _clause_violated(clause: Clause, truth: Mapping[Symbol, bool],
     return True
 
 
-def _consistent_choices(facts: Iterable[Literal],
-                        axes: List[List[Tuple[Literal, ...]]]):
-    """Yield (chosen groups, assignment) for every choice of one option per
-    axis that assigns no atom both values, together with the facts.
+def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
+                        closures: dict):
+    """Yield (chosen groups, assignment, causal set) for every choice of one
+    option per axis that, with t's facts and their consequences along impco,
+    assigns no atom both values.
 
     The walk is depth-first and visits choices in itertools.product order; a
     branch is dropped as soon as an option clashes with a fact or an earlier
-    option.  The assignment maps every chosen atom to its value; it is
+    assignment.  Depth fixed is 1 + the index of the last axis that holds a
+    causal literal (0 if none): from there on no axis can change the causal
+    set.  A branch that reaches it without a clash computes its causal set,
+    which gets its entry in closures if it has none, and propagates the
+    whole assignment along that set's impco; at each deeper depth only the
+    entries that depth added are propagated, so a branch dies at its first
+    propagated clash.  Each depth undoes its option, and the propagation
+    after it, by popping the assignment back to the size it had before.
+    The assignment maps every chosen and propagated atom to its value; it is
     shared between yields, so read it before resuming the walk.
     """
     assignment: dict = {}
-    if not _assign_literals(assignment, facts, []):
+    if not _assign_literals(assignment, t.facts):
         return
     n = len(axes)
-    added: List[list] = [[] for _ in range(n)]  # atoms each depth assigned
-    tried = [0] * n                              # options tried per depth
-    depth = 0
+    fixed = max((i + 1 for i, axis in enumerate(axes) for option in axis
+                 for lit in option if isinstance(lit.atom, CausalAtom)),
+                default=0)
+    marks = [0] * n     # assignment size before each depth's option
+    tried = [0] * n     # options tried per depth
+    depth, arrived = 0, True
     while depth >= 0:
-        if depth == n:
-            yield [axes[i][tried[i] - 1] for i in range(n)], assignment
-            depth -= 1
-            continue
-        for atom in added[depth]:
-            del assignment[atom]
-        added[depth].clear()
+        if arrived:     # every depth before this one holds an option
+            arrived = False
+            if depth == fixed:
+                causal = frozenset(ca for ca in t.causal.union(
+                    a for a in assignment if isinstance(a, CausalAtom))
+                    if assignment.get(ca, True))
+                c = closures.get(causal)
+                if c is None:
+                    c = closures[causal] = compute_closures(
+                        t.with_causal(causal))
+            if depth >= fixed and not propagate_truth(
+                    assignment, c.impco_succ, c.impco_pred,
+                    marks[depth - 1] if depth > fixed else 0):
+                depth -= 1
+                continue
+            if depth == n:
+                yield ([axes[i][tried[i] - 1] for i in range(n)], assignment,
+                       causal)
+                depth -= 1
+                continue
+            marks[depth] = len(assignment)
+        while len(assignment) > marks[depth]:
+            assignment.popitem()
         if tried[depth] == len(axes[depth]):
             tried[depth] = 0
             depth -= 1
             continue
         option = axes[depth][tried[depth]]
         tried[depth] += 1
-        if _assign_literals(assignment, option, added[depth]):
-            depth += 1
+        if _assign_literals(assignment, option):
+            depth, arrived = depth + 1, True
 
 
 def enumerate_worlds(t: Theory, max_worlds: int = 1024,
@@ -139,9 +168,11 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     """All consistent worlds, indexed from 1 in canonical choice order.
 
     closures maps a causal set to the ClosureRelations of t with that causal
-    set.  Entries already present are used; every causal set a combination
-    has that is missing gets its entry, built once, for the caller to reuse.
-    Raises WorldOverflowError as soon as more than max_worlds worlds survive.
+    set.  Entries already present are used; a missing one is built once, for
+    the caller to reuse, when a branch first reaches without a clash the
+    depth after which no axis can change its causal set; truth is propagated
+    at every depth from there on (_consistent_choices).  Raises
+    WorldOverflowError as soon as more than max_worlds worlds survive.
     """
     if closures is None:
         closures = {}
@@ -152,23 +183,12 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         axes.append([(Literal(atom, True),), (Literal(atom, False),)])
 
     worlds: List[World] = []
-    base_causal = frozenset(t.causal)
-    for groups, assignment in _consistent_choices(t.facts, axes):
+    for groups, assignment, causal in _consistent_choices(t, axes, closures):
         truth: Dict[Symbol, bool] = {}
-        causal_truth: Dict[CausalAtom, bool] = {}
+        causal_truth: Dict[CausalAtom, bool] = dict.fromkeys(causal, True)
         for atom, value in assignment.items():
             table = causal_truth if isinstance(atom, CausalAtom) else truth
             table[atom] = value
-        causal = frozenset(ca for ca in base_causal.union(causal_truth)
-                           if causal_truth.get(ca, True))
-        for ca in causal:
-            causal_truth.setdefault(ca, True)
-
-        c = closures.get(causal)
-        if c is None:
-            c = closures[causal] = compute_closures(t.with_causal(causal))
-        if not propagate_truth(truth, c.impco_succ, c.impco_pred):
-            continue
         if any(_clause_violated(cl, truth, causal_truth) for cl in t.clauses):
             continue
         if len(worlds) == max_worlds:

@@ -63,3 +63,22 @@ def test_every_traced_count_is_set(tmp_path):
                     if span[0] in counted and span[4] is None})
     assert unset == []
     assert {span[0] for span in trace["spans"]} >= counted - {"cli.render_text"}
+
+
+def test_traced_run_records_propagation(tmp_path):
+    # worlds.propagations counts worlds.propagate_truth spans, so the walk
+    # must propagate through that function for the metric to mean anything
+    theory = tmp_path / "theory.lp"
+    theory.write_text("ont(a,b). cause(b,c). true(a) v -true(a).\n")
+    result = tmp_path / "trace.json"
+    src = pathlib.Path(causalexpl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), str(result), "--", str(theory),
+         "--stage", "all", "--out", str(tmp_path / "out.lp")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(result.read_text())
+    assert trace["exit"] == 0
+    assert any(span[0] == "worlds.propagate_truth" for span in trace["spans"])
+    assert trace["metrics"]["worlds.propagations"] >= 1

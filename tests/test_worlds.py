@@ -255,6 +255,61 @@ def test_enumeration_matches_brute_force(seed, inclusive):
         _reference_worlds(t, inclusive)
 
 
+def _counting_propagation(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3] if len(args) > 3 else 0)
+        return propagate_truth(*args)
+
+    monkeypatch.setattr("causalexpl.worlds.propagate_truth", counting)
+    return calls
+
+
+def test_propagated_clash_prunes_the_walk(monkeypatch):
+    # c0 IS-A c1 ... IS-A c11, all completed: true(ci) forces true(ci+1), so
+    # only the 13 threshold assignments survive of 4,096 combinations
+    chain = [sym("c%d" % i) for i in range(12)]
+    t = Theory(ontology=frozenset(OntAtom(a, b)
+                                  for a, b in zip(chain, chain[1:])),
+               completions=frozenset(chain))
+    calls = _counting_propagation(monkeypatch)
+    worlds = enumerate_worlds(t, max_worlds=10 ** 6)
+    assert len(calls) <= 100
+    monkeypatch.undo()
+    assert len(worlds) == 13
+    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
+        _reference_worlds(t, False)
+
+
+@pytest.mark.parametrize("inclusive", [False, True])
+def test_causal_set_fixed_partway_through_the_walk(monkeypatch, inclusive):
+    a, b, c, d, e = (sym(name) for name in "abcde")
+    ab, be, bc, cd = (CausalAtom(a, b), CausalAtom(b, e), CausalAtom(b, c),
+                      CausalAtom(c, d))
+    t = Theory(
+        causal=frozenset([ab, cd]),
+        # d IS-A e: with -true(e) chosen, true(d) and true(c) clash only
+        # through propagation
+        ontology=frozenset([OntAtom(d, e)]),
+        facts=frozenset([Literal(ab, False)]),
+        clauses=frozenset([_clause(Literal(be, True), Literal(e, False)),
+                           _clause(Literal(a, True), Literal(c, True))]),
+        # axes: the two disjunctions, then a, b, cause(b,c), c, d, e; the
+        # causal set is fixed after the fifth
+        completions=frozenset([a, b, bc, c, d, e]))
+    calls = _counting_propagation(monkeypatch)
+    worlds = enumerate_worlds(t, max_worlds=10 ** 6,
+                              inclusive_disjunction=inclusive)
+    monkeypatch.undo()
+    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
+        _reference_worlds(t, inclusive)
+    assert {w.causal for w in worlds} == {
+        frozenset(s) for s in ([cd], [cd, be], [cd, bc], [cd, be, bc])}
+    # whole assignments at the fixing depth, then one call per later option
+    assert 0 in calls and any(calls)
+
+
 def test_pipeline_generates_once_per_causal_set(monkeypatch):
     ab = CausalAtom(sym("a"), sym("b"))
     cb = CausalAtom(sym("c"), sym("b"))
