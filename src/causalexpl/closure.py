@@ -43,12 +43,6 @@ class ClosureRelations:
     impco_succ: Rows = field(compare=False, repr=False)
     impco_pred: Rows = field(compare=False, repr=False)
 
-    def ontt_has(self, a: Symbol, b: Symbol) -> bool:
-        return (a, b) in self.ontt
-
-    def impco_has(self, a: Symbol, b: Symbol) -> bool:
-        return (a, b) in self.impco
-
 
 def _reachability(edges: Iterable[Pair]) -> PairSet:
     """All (u, v) with a non-empty edge path from u to v."""

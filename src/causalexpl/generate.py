@@ -1,10 +1,12 @@
 """Stage 1: derive candidate explanation atoms.
 
-Initial atoms come from a handful of base rules over the closures, plus a
-double-ontology rule with dominance pruning.  Seeds are then extended by
-the transitive condition-gathering fixpoint, which keeps only the
-subset-minimal condition sets of each (source, target) pair (up to symbols
-on implication cycles).
+Initial atoms come from the base rules over the closures (ecinit_base).
+The unguarded double-ontology relation is read off their witnesses
+(ecinit_full), and the guarded rule that seeds the fixpoint is a filter
+over it with dominance pruning (ecinit_double_ontology).  Seeds are then
+extended by the transitive condition-gathering fixpoint over the unguarded
+relation, which keeps only the subset-minimal condition sets of each
+(source, target) pair (up to symbols on implication cycles).
 """
 from __future__ import annotations
 
@@ -25,90 +27,67 @@ class InitialExplanation:
 
 
 def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]:
-    """The non-transitive rules.
+    """The non-transitive rules, each (i, j, extra) for a cause(i, x).
 
-    Four rules yield (i, j, i); a fifth yields (i, j, j) when j specialises
-    the effect but is not already implied by i.  That fifth rule is what
-    makes the double-ontology rule below well-founded.
+    i explains x and every super-concept of x with extra i.  A sub-concept
+    e of x that i already implies is explained with extra i, and so is
+    every super-concept of e; any other sub-concept e yields the witness
+    (i, e, e), from which ecinit_full reads the double-ontology relation.
+    Every base atom's extra is its source or its target.
     """
     out: Set[InitialExplanation] = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         out.add(InitialExplanation(i, x, i))
-        for j in c.ontt_subs.get(x, ()):
-            if c.impco_has(i, j):
-                out.add(InitialExplanation(i, j, i))
+        out.update(InitialExplanation(i, j, i)
+                   for j in c.ontt_supers.get(x, ()))
+        for e in c.ontt_subs.get(x, ()):
+            if (i, e) in c.impco:
+                out.add(InitialExplanation(i, e, i))
+                out.update(InitialExplanation(i, j, i)
+                           for j in c.ontt_supers.get(e, ()))
             else:
-                out.add(InitialExplanation(i, j, j))
-        for j in c.ontt_supers.get(x, ()):
-            out.add(InitialExplanation(i, j, i))
-        for e in c.ontt_subs.get(x, ()):
-            if not c.impco_has(i, e):
-                continue
-            for j in c.ontt_supers.get(e, ()):
-                out.add(InitialExplanation(i, j, i))
+                out.add(InitialExplanation(i, e, e))
     return frozenset(out)
 
 
-def ecinit_double_ontology(t: Theory, c: ClosureRelations,
-                           base: FrozenSet[InitialExplanation],
-                           ) -> FrozenSet[InitialExplanation]:
-    """Candidates (i, j, e) with e a common sub-concept witness.
-
-    Only fires for (i, j) pairs with no base atom; candidates with a strictly
-    weaker sibling witness (under impcos) are dropped.
-    """
-    blocked = set()   # (i, j) pairs already covered by a base atom
-    witnesses = set() # (i, e) with ecinit(i, e, e)
-    for init in base:
-        if init.extra == init.source or init.extra == init.target:
-            blocked.add((init.source, init.target))
-        if init.extra == init.target:
-            witnesses.add((init.source, init.target))
-
-    candidates: Set[InitialExplanation] = set()
-    for ca in t.causal:
-        i, x = ca.cause, ca.effect
-        for e in c.ontt_subs.get(x, ()):
-            if (i, e) not in witnesses:
-                continue
-            for j in c.ontt_supers.get(e, ()):
-                if (i, j) in blocked:
-                    continue
-                candidates.add(InitialExplanation(i, j, e))
-
-    by_pair = defaultdict(set)
-    for cand in candidates:
-        by_pair[(cand.source, cand.target)].add(cand.extra)
-    kept = set()
-    for cand in candidates:
-        extras = by_pair[(cand.source, cand.target)]
-        dominated = any((cand.extra, e1) in c.impcos
-                        for e1 in extras if e1 != cand.extra)
-        if not dominated:
-            kept.add(cand)
-    return frozenset(kept)
-
-
-def ecinit_full(t: Theory, c: ClosureRelations,
-                base: FrozenSet[InitialExplanation],
+def ecinit_full(c: ClosureRelations, base: FrozenSet[InitialExplanation],
                 ) -> FrozenSet[InitialExplanation]:
-    """Base atoms plus every double-ontology candidate, unguarded.
+    """Base atoms plus the unguarded double-ontology relation.
 
-    The guards in ecinit_double_ontology are sound for seeding but can
-    starve the transitive stage: a suppressed witness atom may be exactly
-    the step that lets a longer path collapse onto a smaller condition set.
-    The gathering fixpoint therefore composes over this full relation.
+    A witness is a base atom (i, e, e) with e != i: e specialises an
+    effect of i and i does not imply e (impco is reflexive on causes, so
+    e == i never is one).  It explains every super-concept j of e by {i, e}.
+    The gathering fixpoint composes over this relation: the guards of
+    ecinit_double_ontology are sound for seeding, but a suppressed atom may
+    be exactly the step that lets a longer path collapse onto a smaller
+    condition set.
     """
-    out = set(base)
-    for ca in t.causal:
-        i, x = ca.cause, ca.effect
-        for e in c.ontt_subs.get(x, ()):
-            if c.impco_has(i, e):
-                continue
-            for j in c.ontt_supers.get(e, ()):
-                out.add(InitialExplanation(i, j, e))
-    return frozenset(out)
+    return base | frozenset(
+        InitialExplanation(w.source, j, w.extra) for w in base
+        if w.extra == w.target != w.source
+        for j in c.ontt_supers.get(w.extra, ()))
+
+
+def ecinit_double_ontology(full: FrozenSet[InitialExplanation],
+                           c: ClosureRelations,
+                           ) -> FrozenSet[InitialExplanation]:
+    """The guarded double-ontology rule: a filter over ecinit_full.
+
+    Keeps the atoms on the (i, j) pairs where no atom's extra is i or j
+    (every base atom's extra is its source or target, so these are the
+    pairs no base atom covers), and drops a witness with a strictly weaker
+    sibling under impcos.
+    """
+    blocked = {(a.source, a.target) for a in full
+               if a.extra in (a.source, a.target)}
+    by_pair = defaultdict(set)
+    for a in full:
+        if (a.source, a.target) not in blocked:
+            by_pair[(a.source, a.target)].add(a.extra)
+    return frozenset(InitialExplanation(i, j, e)
+                     for (i, j), extras in by_pair.items() for e in extras
+                     if not any((e, e1) in c.impcos for e1 in extras))
 
 
 def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAtom]:
@@ -212,7 +191,8 @@ def generate(t: Theory, closures: ClosureRelations = None
     """Run the full generation pipeline on a validated theory."""
     c = closures if closures is not None else compute_closures(t)
     base = ecinit_base(t, c)
-    seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
+    full = ecinit_full(c, base)
+    seeds = seed_ecsets(base | ecinit_double_ontology(full, c))
     cyclic = frozenset(a for a, b in c.impco - c.impcos if a != b)
-    gathered = gather_transitive(seeds, ecinit_full(t, c, base), cyclic)
+    gathered = gather_transitive(seeds, full, cyclic)
     return reduce_conditions(gathered, c)

@@ -271,6 +271,9 @@ class _Parser:
                                  "disjunction", item[2].line)
             literals.append(item[1])
         unique = frozenset(literals)
+        if len(unique) == 1:  # `true(a) v true(a).` means `true(a).`
+            self._record_unit(("lit", literals[0]), line)
+            return
         if len(unique) == 2:
             lits = sorted(unique, key=lambda l: l.render())
             if lits[0].atom == lits[1].atom and lits[0].positive != lits[1].positive:

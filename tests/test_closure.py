@@ -31,25 +31,25 @@ def _bfs_pairs(edges):
 def test_ontt_diagram_spot_checks(diagram):
     c = compute_closures(diagram)
     beta1, beta2 = sym("beta1"), sym("beta2")
-    assert c.ontt_has(beta1, beta2)                 # via beta
-    assert c.ontt_has(sym("gamma2"), sym("gamma3"))
-    assert not c.ontt_has(beta2, beta1)
-    assert not c.ontt_has(sym("gamma2"), sym("epsilon3"))
+    assert (beta1, beta2) in c.ontt                 # via beta
+    assert (sym("gamma2"), sym("gamma3")) in c.ontt
+    assert (beta2, beta1) not in c.ontt
+    assert (sym("gamma2"), sym("epsilon3")) not in c.ontt
 
 
 def test_impco_covers_causal_and_ontological_edges(diagram):
     c = compute_closures(diagram)
-    assert c.impco_has(sym("alpha"), sym("beta"))     # causal edge
-    assert c.impco_has(sym("beta1"), sym("beta"))     # ontology edge
-    assert c.impco_has(sym("alpha"), sym("gamma"))    # mixed path
-    assert c.impco_has(sym("gamma1"), sym("delta"))
+    assert (sym("alpha"), sym("beta")) in c.impco     # causal edge
+    assert (sym("beta1"), sym("beta")) in c.impco     # ontology edge
+    assert (sym("alpha"), sym("gamma")) in c.impco    # mixed path
+    assert (sym("gamma1"), sym("delta")) in c.impco
 
 
 def test_impco_reflexive_on_symbol_e(diagram):
     _, symbol_e = symbol_universe(diagram)
     c = compute_closures(diagram)
     for s in symbol_e:
-        assert c.impco_has(s, s)
+        assert (s, s) in c.impco
 
 
 def test_strict_part_excludes_reflexive_and_symmetric_pairs():

@@ -2,6 +2,7 @@
 import importlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,7 @@ def test_initial_rules_on_diagram(diagram):
 def test_double_ontology_candidates_on_diagram(diagram):
     c = compute_closures(diagram)
     base = ecinit_base(diagram, c)
-    double = ecinit_double_ontology(diagram, c, base)
+    double = ecinit_double_ontology(ecinit_full(c, base), c)
     assert InitialExplanation(sym("beta2"), sym("gamma3"), sym("gamma2")) in double
     e3 = sym("epsilon3")
     witnesses = {init.extra for init in double
@@ -59,10 +60,78 @@ def test_double_ontology_dominance_pruning():
                                    OntAtom(sym("e2"), sym("j"))]))
     c = compute_closures(t)
     base = ecinit_base(t, c)
-    double = ecinit_double_ontology(t, c, base)
+    double = ecinit_double_ontology(ecinit_full(c, base), c)
     extras = {init.extra for init in double
               if (init.source, init.target) == (sym("i"), sym("j"))}
     assert extras == {sym("e2")}
+
+
+def _parent_initial_rules(t, c):
+    """The rules as first written: three walks over cause x sub x super,
+    and a guarded double-ontology rule that rebuilds its witnesses."""
+    base = set()
+    for ca in t.causal:
+        i, x = ca.cause, ca.effect
+        base.add(InitialExplanation(i, x, i))
+        for j in c.ontt_subs.get(x, ()):
+            base.add(InitialExplanation(i, j, i if (i, j) in c.impco else j))
+        for j in c.ontt_supers.get(x, ()):
+            base.add(InitialExplanation(i, j, i))
+        for e in c.ontt_subs.get(x, ()):
+            if (i, e) in c.impco:
+                for j in c.ontt_supers.get(e, ()):
+                    base.add(InitialExplanation(i, j, i))
+    blocked = {(a.source, a.target) for a in base
+               if a.extra in (a.source, a.target)}
+    witnesses = {(a.source, a.target) for a in base if a.extra == a.target}
+    candidates, full = set(), set(base)
+    for ca in t.causal:
+        i, x = ca.cause, ca.effect
+        for e in c.ontt_subs.get(x, ()):
+            for j in c.ontt_supers.get(e, ()):
+                if (i, e) in witnesses and (i, j) not in blocked:
+                    candidates.add(InitialExplanation(i, j, e))
+                if (i, e) not in c.impco:
+                    full.add(InitialExplanation(i, j, e))
+    double = {a for a in candidates
+              if not any((a.extra, b.extra) in c.impcos for b in candidates
+                         if (b.source, b.target) == (a.source, a.target)
+                         and b.extra != a.extra)}
+    return base, double, full
+
+
+def _assert_initial_rules_match_parent(t):
+    c = compute_closures(t)
+    base = ecinit_base(t, c)
+    full = ecinit_full(c, base)
+    assert (base, ecinit_double_ontology(full, c), full) == \
+        _parent_initial_rules(t, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.sampled_from(["none", "self-cause", "ontology back-edge"]))
+def test_initial_rules_match_the_triple_walk(seed, acyclic, extra):
+    rng = random.Random(seed)
+    t = random_theory(rng, acyclic=acyclic)
+    if extra == "self-cause":
+        a = rng.choice(sorted({ca.cause for ca in t.causal} | {sym("s0")},
+                              key=str))
+        t = Theory(causal=t.causal | {CausalAtom(a, a)}, ontology=t.ontology)
+    elif extra == "ontology back-edge" and t.ontology:
+        o = rng.choice(sorted(t.ontology, key=str))
+        t = Theory(causal=t.causal,
+                   ontology=t.ontology | {OntAtom(o.super, o.sub)})
+    _assert_initial_rules_match_parent(t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_initial_rules_match_the_triple_walk_on_chains(k):
+    _assert_initial_rules_match_parent(chain_theory(k))
+
+
+def test_initial_rules_match_the_triple_walk_on_diagram(diagram):
+    _assert_initial_rules_match_parent(diagram)
 
 
 def test_seed_precedence():
@@ -156,8 +225,8 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
     base = ecinit_base(t, c)
-    inits = ecinit_full(t, c, base)
-    seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
+    inits = ecinit_full(c, base)
+    seeds = seed_ecsets(base | ecinit_double_ontology(inits, c))
     guarded = reduce_conditions(gather_transitive(seeds, inits), c)
 
     # Unguarded variant: saturate unions without the not-ecSet suppression.
@@ -190,9 +259,10 @@ def test_gathered_sets_form_an_antichain(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
     base = ecinit_base(t, c)
-    seeds = seed_ecsets(base | ecinit_double_ontology(t, c, base))
+    full = ecinit_full(c, base)
+    seeds = seed_ecsets(base | ecinit_double_ontology(full, c))
     groups = {}
-    for atom in gather_transitive(seeds, ecinit_full(t, c, base)):
+    for atom in gather_transitive(seeds, full):
         groups.setdefault((atom.source, atom.target), []).append(
             set(atom.conditions))
     for sets in groups.values():

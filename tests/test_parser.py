@@ -101,6 +101,15 @@ def test_contradictory_unit_facts_hard_error():
         parse_theory("true(a). -true(a).")
 
 
+def test_disjunction_of_one_literal_is_a_unit_fact():
+    assert parse_theory("true(a) v true(a).") == parse_theory("true(a).")
+    assert parse_theory("cause(c,d) v cause(c,d).") == \
+        parse_theory("cause(c,d).")
+    with pytest.raises(ParseError) as err:
+        parse_theory("true(a).\n-true(a) v -true(a).")
+    assert str(err.value) == "line 2: contradictory unit facts on a"
+
+
 def test_reflexive_object_ontology_rejected():
     with pytest.raises(ParseError):
         parse_theory("ont_object(bell,bell).")
@@ -118,6 +127,7 @@ def test_round_trip_covers_all_statement_kinds():
     src = """
     symbol(iota). cause(a,b). ont(c,d). true(a). -true(d).
     true(a) v true(c). true(b) v -true(b).
+    true(e) v true(e). cause(f,g) v cause(f,g).
     ont_object(tom,student). all_onekind(own).
     restr(own). kindPar(own,student,book).
     """
