@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Theory, atom_sort_key, symbol_universe,
-                    validate_theory)
+from .model import (ExplanationAtom, Theory, atom_body, atom_sort_key,
+                    ranked_atoms, symbol_universe, validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import (STAGE_SECTIONS, StageFacts, emit_atoms, emit_theory,
@@ -163,13 +163,39 @@ def render_text(result: RunResult, config: RunConfig) -> str:
     if config.stage in ("verify", "all") and not config.oracle:
         lines.extend(emit_verified(result.verified))
         for v in result.verdicts:
-            body = "%s,%s,{%s}" % (v.source, v.target,
-                                   ",".join(str(s) for s in v.conditions))
+            body = atom_body(v.source, v.target, v.conditions)
             if v.brave:
                 lines.append("brave(%s)." % body)
             if v.cautious:
                 lines.append("cautious(%s)." % body)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+class _Raw(str):
+    """JSON text already written, spliced in as it is."""
+
+
+def _json(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it, its inner lines
+    indented by pad; a _Raw string is written as it is."""
+    if isinstance(value, str):
+        return value if isinstance(value, _Raw) else _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [inner + _quote(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [inner + _json(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return (brackets[0] + "\n" + ",\n".join(items) + "\n" + pad
+            + brackets[1])
 
 
 def _atom_json(atom: ExplanationAtom, stage: str) -> dict:
@@ -178,7 +204,13 @@ def _atom_json(atom: ExplanationAtom, stage: str) -> dict:
             "status": stage}
 
 
+# the indentation of a world's atoms: doc > "worlds" > world > "explanations"
+_WORLD_ATOM_PAD = " " * 8
+
+
 def render_json(result: RunResult, config: RunConfig) -> str:
+    """The report json.dumps(doc, indent=2) would write; a verified atom's
+    block is written once and spliced into every world that verifies it."""
     doc: dict = {"stage": config.stage}
     if result.warnings:
         doc["warnings"] = list(result.warnings)
@@ -187,12 +219,13 @@ def render_json(result: RunResult, config: RunConfig) -> str:
                             sorted(getattr(result, section.field),
                                    key=atom_sort_key)]
     if config.stage in ("verify", "all") and not config.oracle:
+        order, ranks = ranked_atoms(result.verified)
+        blocks = [_Raw(_json(_atom_json(a, "verified"), _WORLD_ATOM_PAD))
+                  for a in order]
         doc["worlds"] = [
             {"index": w.index,
              "facts": list(w.facts()),
-             "explanations": [_atom_json(a, "verified") for a in
-                              sorted(result.verified.get(w.index, ()),
-                                     key=atom_sort_key)]}
+             "explanations": [blocks[r] for r in ranks.get(w.index, ())]}
             for w in result.worlds]
         doc["verdicts"] = [
             {"from": str(v.source), "to": str(v.target),
@@ -200,7 +233,7 @@ def render_json(result: RunResult, config: RunConfig) -> str:
              "brave": v.brave, "cautious": v.cautious,
              "worlds": sorted(v.verified_in)}
             for v in result.verdicts]
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc) + "\n"
 
 
 # -- entry point ---------------------------------------------------------------

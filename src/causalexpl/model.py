@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Tuple, Union)
 
 if TYPE_CHECKING:
     from .lifting import KindDeclarations, ObjectOntAtom
@@ -19,8 +20,12 @@ class Symbol:
     """A propositional symbol, flat ("alpha") or structured ("[own,tom,book]").
 
     ``args is None`` marks a flat symbol; a tuple (possibly empty) marks a
-    structured one.  Both live in a single namespace and compare by their
-    rendered text form.
+    structured one.  Both live in a single namespace and are ordered by
+    their rendered text form.
+
+    The text and the hash are read on every sort, print and set or dict
+    lookup, so they are computed once, here; they are not fields, and ``==``
+    and ``repr`` see only name and args.
     """
     name: str
     args: Optional[Tuple[str, ...]] = None
@@ -28,21 +33,30 @@ class Symbol:
     def __post_init__(self):
         if not self.name:
             raise ValueError("symbol name must be non-empty")
+        text = (self.name if self.args is None
+                else "[" + ",".join((self.name,) + self.args) + "]")
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled values recompute the hash, which depends on
+        # the process's hash seed
+        return (Symbol, (self.name, self.args))
 
     @property
     def structured(self) -> bool:
         return self.args is not None
 
     def render(self) -> str:
-        if self.args is None:
-            return self.name
-        return "[" + ",".join((self.name,) + self.args) + "]"
+        return self._text
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __lt__(self, other: "Symbol") -> bool:
-        return self.render() < other.render()
+        return self._text < other._text
 
 
 def sym(name: str, *args: str) -> Symbol:
@@ -144,7 +158,8 @@ class ExplanationAtom:
     """source explains target because the condition set is jointly possible.
 
     An atom's stage (generated, optimal, verified in a world) is the
-    collection that holds it, not a field of the atom.
+    collection that holds it, not a field of the atom.  Its hash is computed
+    once, like a Symbol's, and is not a field.
     """
     source: Symbol
     target: Symbol
@@ -153,22 +168,43 @@ class ExplanationAtom:
     def __post_init__(self):
         if self.source not in self.conditions:
             raise ValueError("explaining symbol must belong to its condition set")
+        object.__setattr__(self, "_hash", hash(self.key()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (ExplanationAtom, self.key())
 
     def key(self) -> tuple:
         return (self.source, self.target, self.conditions)
 
     def render(self, functor: str = "ecSet") -> str:
-        return "%s(%s,%s,{%s})" % (
-            functor, self.source, self.target,
-            ",".join(str(s) for s in self.conditions))
+        return "%s(%s)" % (functor, atom_body(*self.key()))
 
     def __str__(self) -> str:
         return self.render()
 
 
+def atom_body(source: Symbol, target: Symbol, conditions: ConditionSet) -> str:
+    """The arguments of an atom's fact-file statement: ``i,j,{a,b}``."""
+    return "%s,%s,{%s}" % (source, target, ",".join(map(str, conditions)))
+
+
 def atom_sort_key(atom: ExplanationAtom) -> tuple:
     """The order every stage's atoms are emitted in: by rendered text."""
     return (str(atom.source), str(atom.target), tuple(map(str, atom.conditions)))
+
+
+def ranked_atoms(groups: Mapping[int, Iterable[ExplanationAtom]]
+                 ) -> Tuple[List[ExplanationAtom], Dict[int, List[int]]]:
+    """(order, ranks): the distinct atoms of all groups sorted once by
+    atom_sort_key, and each group's atoms as ascending positions in that
+    order, so group i in emission order is [order[r] for r in ranks[i]]."""
+    order = sorted(set().union(*groups.values()), key=atom_sort_key)
+    rank = {atom: r for r, atom in enumerate(order)}
+    return order, {i: sorted(map(rank.__getitem__, atoms))
+                   for i, atoms in groups.items()}
 
 
 @dataclass(frozen=True)

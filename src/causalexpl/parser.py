@@ -26,7 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Set
 
 from .lifting import KindDeclarations, ObjectOntAtom
 from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
-                    Symbol, Theory, atom_sort_key, canonical_conditions)
+                    Symbol, Theory, atom_body, atom_sort_key,
+                    canonical_conditions, ranked_atoms)
 
 
 # A unit statement adds make(*arguments) to the Theory or KindDeclarations
@@ -288,7 +289,8 @@ class _Parser:
 
 
 def parse_input(text: str) -> ParseResult:
-    """Parse a fact file; also accepts a JSON stage report (see emit_json)."""
+    """Parse a fact file; also accepts a JSON stage report (see
+    cli.render_json)."""
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -379,10 +381,8 @@ def emit_atoms(atoms, functor: str) -> List[str]:
 
 
 def emit_verified(verified: Dict[int, FrozenSet[ExplanationAtom]]) -> List[str]:
-    lines = []
-    for index in sorted(verified):
-        for atom in sorted(verified[index], key=atom_sort_key):
-            lines.append("explVer(%d,%s,%s,{%s})."
-                         % (index, atom.source, atom.target,
-                            ",".join(str(s) for s in atom.conditions)))
-    return lines
+    """explVer lines by world index; each distinct atom is formatted once."""
+    order, ranks = ranked_atoms(verified)
+    bodies = [atom_body(*atom.key()) for atom in order]
+    return ["explVer(%d,%s)." % (index, bodies[r])
+            for index in sorted(ranks) for r in ranks[index]]

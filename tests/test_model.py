@@ -1,4 +1,12 @@
 """Data-model behaviour: symbols, clauses, condition sets, validation."""
+import copy
+import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +15,8 @@ from causalexpl.model import (CausalAtom, Clause, EmptyConditionSetError,
                               ExplanationAtom, Literal, OntAtom, Symbol,
                               Theory, canonical_conditions, canonicalize, sym,
                               symbol_universe, validate_theory)
+from causalexpl.lifting import KindDeclarations, ObjectOntAtom, lift
+from causalexpl.parser import parse_input
 
 a, b, g, d = sym("alpha"), sym("beta"), sym("gamma"), sym("delta")
 
@@ -115,3 +125,65 @@ def test_validate_lifting_requires_kind_declarations():
     t = Theory(causal=frozenset([CausalAtom(sym("own", "tom", "book"), a)]))
     assert validate_theory(t, lifting=True).errors
     assert validate_theory(t, lifting=False).ok
+
+
+# -- the cached text and hash ------------------------------------------------
+
+def _four_routes():
+    """The symbol [at,x], the symbol y and the atom (y, [at,x], {y}) as the
+    parser, sym(), lifting and a JSON stage report build them."""
+    (parsed,) = parse_input("ecSet(y,[at,x],{y}).").stage.generated
+    by_hand = ExplanationAtom(sym("y"), sym("at", "x"), (sym("y"),))
+    (lifted,) = lift([ObjectOntAtom("x", "z")],
+                     KindDeclarations(onekind=frozenset({"at"}))).atoms
+    from_lift = ExplanationAtom(sym("y"), lifted.sub, (sym("y"),))
+    (from_json,) = parse_input(json.dumps({"explanations": [
+        {"from": "y", "to": "[at,x]", "conditions": ["y"]}]})).stage.generated
+    return [parsed, by_hand, from_lift, from_json]
+
+
+def test_symbols_and_atoms_of_every_route_agree():
+    atoms = _four_routes()
+    atoms += [dataclasses.replace(atoms[0]), copy.copy(atoms[1]),
+              copy.deepcopy(atoms[2]), pickle.loads(pickle.dumps(atoms[3])),
+              dataclasses.replace(atoms[3], target=Symbol("at", ("x",)))]
+    for atom in atoms:
+        assert atom == atoms[0] and hash(atom) == hash(atoms[0])
+        assert str(atom) == "ecSet(y,[at,x],{y})"
+        assert atom.target == sym("at", "x")
+        assert hash(atom.target) == hash(("at", ("x",)))
+        assert str(atom.target) == atom.target.render() == "[at,x]"
+    assert len(set(atoms)) == 1
+    assert len({a.target for a in atoms} | {sym("at", "x")}) == 1
+
+
+def test_cached_values_are_not_fields():
+    s = sym("at", "x")
+    assert [f.name for f in dataclasses.fields(Symbol)] == ["name", "args"]
+    assert repr(s) == "Symbol(name='at', args=('x',))"
+    assert [f.name for f in dataclasses.fields(ExplanationAtom)] == \
+        ["source", "target", "conditions"]
+    assert repr(ExplanationAtom(a, b, (a,))) == (
+        "ExplanationAtom(source=%r, target=%r, conditions=(%r,))" % (a, b, a))
+    # == reads the fields, not the cached hash; text alone is not identity
+    stale = copy.copy(s)
+    object.__setattr__(stale, "_hash", 0)
+    assert stale == s and not stale < s and not s < stale
+    assert sym("at", "x") != Symbol("[at,x]")
+    assert str(Symbol("[at,x]")) == str(sym("at", "x"))
+
+
+def test_unpickled_hash_follows_the_hash_seed():
+    # a copy built from the pickled fields rehashes in a process whose hash
+    # seed differs; a pickled cache would keep the writer's hash
+    atom = ExplanationAtom(sym("at", "x"), b, (sym("at", "x"),))
+    code = ("import pickle, sys; atom = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(atom) == hash(atom.key()); "
+            "assert hash(atom.source) == hash(('at', ('x',)))")
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(atom),
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -1,0 +1,171 @@
+"""The report writers against references built the way json.dumps and the
+per-world sorts built them: --format json is byte-identical to
+json.dumps(doc, indent=2), and text output to the per-world sorted lines."""
+import dataclasses
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalexpl.cli import (RunConfig, _json, _Raw, render_json, render_text,
+                            run_pipeline)
+from causalexpl.model import Literal, atom_sort_key
+from causalexpl.parser import STAGE_SECTIONS, parse_input
+from conftest import FIG_TEXT, random_theory
+
+STAGES = ("gen", "opt", "verify", "all")
+
+
+# -- references -----------------------------------------------------------------
+
+def _atom_doc(atom, status):
+    return {"from": str(atom.source), "to": str(atom.target),
+            "conditions": [str(s) for s in atom.conditions],
+            "status": status}
+
+
+def reference_doc(result, config):
+    """The report document, each world's atoms sorted on their own."""
+    doc = {"stage": config.stage}
+    if result.warnings:
+        doc["warnings"] = list(result.warnings)
+    for section in STAGE_SECTIONS:
+        if config.stage in section.stages or config.oracle:
+            doc[section.key] = [
+                _atom_doc(a, section.status) for a in
+                sorted(getattr(result, section.field), key=atom_sort_key)]
+    if config.stage in ("verify", "all") and not config.oracle:
+        doc["worlds"] = [
+            {"index": w.index, "facts": list(w.facts()),
+             "explanations": [_atom_doc(a, "verified") for a in
+                              sorted(result.verified.get(w.index, ()),
+                                     key=atom_sort_key)]}
+            for w in result.worlds]
+        doc["verdicts"] = [
+            {"from": str(v.source), "to": str(v.target),
+             "conditions": [str(s) for s in v.conditions],
+             "brave": v.brave, "cautious": v.cautious,
+             "worlds": sorted(v.verified_in)}
+            for v in result.verdicts]
+    return doc
+
+
+def _body(source, target, conditions):
+    return "%s,%s,{%s}" % (source, target,
+                           ",".join(str(s) for s in conditions))
+
+
+def reference_text(result, config):
+    lines = []
+    for section in STAGE_SECTIONS:
+        if config.stage in section.stages or config.oracle:
+            lines += ["%s(%s)." % (section.functor, _body(*a.key())) for a in
+                      sorted(getattr(result, section.field),
+                             key=atom_sort_key)]
+    if config.stage in ("verify", "all") and not config.oracle:
+        for index in sorted(result.verified):
+            lines += ["explVer(%d,%s)." % (index, _body(*a.key())) for a in
+                      sorted(result.verified[index], key=atom_sort_key)]
+        for v in result.verdicts:
+            body = _body(v.source, v.target, v.conditions)
+            lines += (["brave(%s)." % body] if v.brave else []) + \
+                (["cautious(%s)." % body] if v.cautious else [])
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _check(theory, stage, oracle=False, lifting=False):
+    config = RunConfig(stage=stage, oracle=oracle, lifting=lifting)
+    result = run_pipeline(theory, parse_input("").stage, config)
+    assert render_json(result, config) == \
+        json.dumps(reference_doc(result, config), indent=2) + "\n"
+    assert render_text(result, config) == reference_text(result, config)
+    return result
+
+
+# -- fixed cases --------------------------------------------------------------
+
+FIXED = {
+    "diagram": FIG_TEXT + "-true(gamma1). true(beta) v -true(beta).\n"
+                          "true(epsilon1) v true(gamma2).\n",
+    # world 2 verifies no atom
+    "refuted": "cause(a,b). true(a) v -true(a).\n",
+    # the one world chooses no fact
+    "no-facts": "cause(a,b).\n",
+    "no-atoms": "symbol(a).\n",
+    "empty": "",
+    # self-cause and ontology cycle warnings
+    "warnings": "cause(a,a). cause(a,b). ont(b,c). ont(c,b).\n",
+}
+
+LIFTED = ("onekind(at). ont_object(b,c). cause([at,a],[at,b]). "
+          "cause([at,c],[at,d]). true([at,a]) v -true([at,a]). "
+          "cause([at,a],[at,c]) v -cause([at,a],[at,c]).\n")
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_reports_match_the_reference(name, stage):
+    result = _check(parse_input(FIXED[name]).theory, stage)
+    if name == "warnings":
+        assert len(result.warnings) == 2
+    if name == "refuted" and stage in ("verify", "all"):
+        assert [len(result.verified[w.index]) for w in result.worlds] == [1, 0]
+    if name == "no-facts" and stage in ("verify", "all"):
+        assert [w.facts() for w in result.worlds] == [()]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_lifted_report_matches_the_reference(stage):
+    result = _check(parse_input(LIFTED).theory, stage, lifting=True)
+    assert any(s.structured for a in result.generated for s in a.conditions)
+    if stage in ("verify", "all"):
+        assert len(result.worlds) == 4
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_oracle_report_matches_the_reference(stage):
+    _check(parse_input(FIXED["diagram"]).theory, stage, oracle=True)
+
+
+# -- random theories -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(STAGES), st.booleans())
+def test_random_reports_match_the_reference(seed, stage, oracle):
+    rng = random.Random(seed)
+    t = random_theory(rng, max_symbols=6)
+    symbols = sorted({s for ca in t.causal for s in (ca.cause, ca.effect)})
+    # completions and a negative fact give several worlds, some refuting
+    completed = rng.sample(symbols, min(len(symbols), rng.randint(0, 3)))
+    facts = [Literal(s, False) for s in rng.sample(
+        [s for s in symbols if s not in completed],
+        min(len(symbols) - len(completed), rng.randint(0, 1)))]
+    t = dataclasses.replace(t, completions=frozenset(completed),
+                            facts=frozenset(facts))
+    _check(t, stage, oracle=oracle)
+
+
+# -- the writer on its own --------------------------------------------------
+
+_values = st.recursive(
+    st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@given(st.lists(_values, max_size=3))
+def test_raw_blocks_splice_at_their_indentation(values):
+    pad = " " * 8    # the items of "inner" below
+    spliced = {"outer": [{"inner": [_Raw(_json(v, pad)) for v in values]}]}
+    assert _json(spliced) == json.dumps(
+        {"outer": [{"inner": values}]}, indent=2)
