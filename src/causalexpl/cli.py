@@ -12,6 +12,12 @@ says where to stop.  ``explVer``, ``brave`` and ``cautious`` lines are output
 only; a ``--format json`` report is read by its "explanations" (generated)
 and "optimal" keys.
 
+A verdict is the set of worlds that verify its atom: every atom verified in
+some world is brave, and cautious too when that set holds every world.  Both
+report writers sort the reported atoms once (model.ranked_atoms); each stage
+section, world and verdict lists positions in that one order, and text
+output formats each atom's body once.
+
 Exit codes: 0 success, 1 input error (an unwritable --out too), 2 world
 overflow, 3 internal error.
 """
@@ -27,15 +33,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Theory, atom_body, atom_sort_key,
-                    ranked_atoms, symbol_universe, validate_theory)
+from .model import (ExplanationAtom, Theory, atom_body, ranked_atoms,
+                    symbol_universe, validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
-from .parser import (STAGE_SECTIONS, StageFacts, emit_atoms, emit_theory,
-                     emit_verified, parse_input)
-from .worlds import (InconsistentTheoryError, Verdict, World,
-                     WorldOverflowError, brave_cautious, enumerate_worlds,
-                     verify)
+from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
+from .worlds import (InconsistentTheoryError, World, WorldOverflowError,
+                     brave_cautious, enumerate_worlds, verify)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -50,7 +54,6 @@ class RunConfig:
     inclusive_disjunction: bool = False
     lifting: bool = False
     oracle: bool = False
-    fmt: str = "text"
 
 
 @dataclass
@@ -60,7 +63,9 @@ class RunResult:
     optimal: FrozenSet[ExplanationAtom] = frozenset()
     worlds: Tuple[World, ...] = ()
     verified: Dict[int, FrozenSet[ExplanationAtom]] = field(default_factory=dict)
-    verdicts: Tuple[Verdict, ...] = ()
+    # atom -> the indices of the worlds that verify it (brave_cautious)
+    verdicts: Dict[ExplanationAtom, FrozenSet[int]] = field(
+        default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
 
@@ -149,25 +154,34 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
 
 # -- rendering ----------------------------------------------------------------
 
-def _sections(config: RunConfig):
-    """The stage sections a run emits; the oracle emits both."""
-    return [section for section in STAGE_SECTIONS
-            if config.stage in section.stages or config.oracle]
+def _ranked(result: RunResult, config: RunConfig):
+    """(sections, verifies, order, ranks): the stage sections the run emits
+    (the oracle emits both), whether it emits worlds and verdicts, and
+    ranked_atoms over every reported atom, grouped by section field, by
+    world index and under "verdicts"."""
+    sections = [section for section in STAGE_SECTIONS
+                if config.stage in section.stages or config.oracle]
+    groups = {section.field: getattr(result, section.field)
+              for section in sections}
+    verifies = config.stage in ("verify", "all") and not config.oracle
+    if verifies:
+        groups.update(result.verified)
+        groups["verdicts"] = result.verdicts
+    return (sections, verifies) + ranked_atoms(groups)
 
 
 def render_text(result: RunResult, config: RunConfig) -> str:
-    lines: List[str] = []
-    for section in _sections(config):
-        lines.extend(emit_atoms(getattr(result, section.field),
-                                section.functor))
-    if config.stage in ("verify", "all") and not config.oracle:
-        lines.extend(emit_verified(result.verified))
-        for v in result.verdicts:
-            body = atom_body(v.source, v.target, v.conditions)
-            if v.brave:
-                lines.append("brave(%s)." % body)
-            if v.cautious:
-                lines.append("cautious(%s)." % body)
+    sections, verifies, order, ranks = _ranked(result, config)
+    bodies = [atom_body(atom) for atom in order]
+    lines = ["%s(%s)." % (section.functor, bodies[r])
+             for section in sections for r in ranks[section.field]]
+    if verifies:
+        lines += ["explVer(%d,%s)." % (index, bodies[r])
+                  for index in sorted(result.verified) for r in ranks[index]]
+        for r in ranks["verdicts"]:
+            lines.append("brave(%s)." % bodies[r])
+            if len(result.verdicts[order[r]]) == len(result.worlds):
+                lines.append("cautious(%s)." % bodies[r])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -198,10 +212,9 @@ def _json(value, pad: str = "") -> str:
             + brackets[1])
 
 
-def _atom_json(atom: ExplanationAtom, stage: str) -> dict:
+def _atom_json(atom: ExplanationAtom, **more) -> dict:
     return {"from": str(atom.source), "to": str(atom.target),
-            "conditions": [str(s) for s in atom.conditions],
-            "status": stage}
+            "conditions": [str(s) for s in atom.conditions], **more}
 
 
 # the indentation of a world's atoms: doc > "worlds" > world > "explanations"
@@ -211,28 +224,28 @@ _WORLD_ATOM_PAD = " " * 8
 def render_json(result: RunResult, config: RunConfig) -> str:
     """The report json.dumps(doc, indent=2) would write; a verified atom's
     block is written once and spliced into every world that verifies it."""
+    sections, verifies, order, ranks = _ranked(result, config)
     doc: dict = {"stage": config.stage}
     if result.warnings:
         doc["warnings"] = list(result.warnings)
-    for section in _sections(config):
-        doc[section.key] = [_atom_json(a, section.status) for a in
-                            sorted(getattr(result, section.field),
-                                   key=atom_sort_key)]
-    if config.stage in ("verify", "all") and not config.oracle:
-        order, ranks = ranked_atoms(result.verified)
-        blocks = [_Raw(_json(_atom_json(a, "verified"), _WORLD_ATOM_PAD))
-                  for a in order]
+    for section in sections:
+        doc[section.key] = [_atom_json(order[r], status=section.status)
+                            for r in ranks[section.field]]
+    if verifies:
+        blocks = {r: _Raw(_json(_atom_json(order[r], status="verified"),
+                                _WORLD_ATOM_PAD))
+                  for r in ranks["verdicts"]}
         doc["worlds"] = [
             {"index": w.index,
              "facts": list(w.facts()),
              "explanations": [blocks[r] for r in ranks.get(w.index, ())]}
             for w in result.worlds]
         doc["verdicts"] = [
-            {"from": str(v.source), "to": str(v.target),
-             "conditions": [str(s) for s in v.conditions],
-             "brave": v.brave, "cautious": v.cautious,
-             "worlds": sorted(v.verified_in)}
-            for v in result.verdicts]
+            _atom_json(atom, brave=True,
+                       cautious=len(worlds) == len(result.worlds),
+                       worlds=sorted(worlds))
+            for atom, worlds in ((order[r], result.verdicts[order[r]])
+                                 for r in ranks["verdicts"])]
     return _json(doc) + "\n"
 
 
@@ -286,7 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     config = RunConfig(stage=args.stage, max_worlds=args.max_worlds,
                        inclusive_disjunction=args.inclusive_disjunction,
-                       lifting=args.lift, oracle=args.oracle, fmt=args.fmt)
+                       lifting=args.lift, oracle=args.oracle)
     try:
         theories, stages = [], []
         warnings: List[str] = []
@@ -308,7 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             result.warnings = warnings + result.warnings
             for w in result.warnings:
                 print("warning: %s" % w, file=sys.stderr)
-            out = (render_json(result, config) if config.fmt == "json"
+            out = (render_json(result, config) if args.fmt == "json"
                    else render_text(result, config))
         if args.out:
             with open(args.out, "w") as fh:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Tuple, Union)
 
 if TYPE_CHECKING:
     from .lifting import KindDeclarations, ObjectOntAtom
@@ -179,16 +179,17 @@ class ExplanationAtom:
     def key(self) -> tuple:
         return (self.source, self.target, self.conditions)
 
-    def render(self, functor: str = "ecSet") -> str:
-        return "%s(%s)" % (functor, atom_body(*self.key()))
+    def render(self) -> str:
+        return "ecSet(%s)" % atom_body(self)
 
     def __str__(self) -> str:
         return self.render()
 
 
-def atom_body(source: Symbol, target: Symbol, conditions: ConditionSet) -> str:
+def atom_body(atom: ExplanationAtom) -> str:
     """The arguments of an atom's fact-file statement: ``i,j,{a,b}``."""
-    return "%s,%s,{%s}" % (source, target, ",".join(map(str, conditions)))
+    return "%s,%s,{%s}" % (atom.source, atom.target,
+                           ",".join(map(str, atom.conditions)))
 
 
 def atom_sort_key(atom: ExplanationAtom) -> tuple:
@@ -196,11 +197,11 @@ def atom_sort_key(atom: ExplanationAtom) -> tuple:
     return (str(atom.source), str(atom.target), tuple(map(str, atom.conditions)))
 
 
-def ranked_atoms(groups: Mapping[int, Iterable[ExplanationAtom]]
-                 ) -> Tuple[List[ExplanationAtom], Dict[int, List[int]]]:
+def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
+                 ) -> Tuple[List[ExplanationAtom], Dict[Hashable, List[int]]]:
     """(order, ranks): the distinct atoms of all groups sorted once by
     atom_sort_key, and each group's atoms as ascending positions in that
-    order, so group i in emission order is [order[r] for r in ranks[i]]."""
+    order, so group k in emission order is [order[r] for r in ranks[k]]."""
     order = sorted(set().union(*groups.values()), key=atom_sort_key)
     rank = {atom: r for r, atom in enumerate(order)}
     return order, {i: sorted(map(rank.__getitem__, atoms))

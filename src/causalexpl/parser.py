@@ -9,7 +9,9 @@ Accepted statements (whitespace-insensitive, period-terminated, '%' comments):
     ecSet(i,j,{a,b}).  ecSetRes(i,j,{a,b}).
 
 UNIT_STATEMENTS declares symbol ... kindPar, and STAGE_SECTIONS ecSet and
-ecSetRes; parsing, emission and rendering read these two tables.
+ecSetRes.  Parsing and emit_theory read the unit table; parsing and the
+report writers in cli read the stage table.  Stage atoms are not emitted
+here: cli.render_text writes them with the worlds and verdicts, in one order.
 Structured symbols are written in brackets: cause([own,tom,book],x).
 Braces may group clause statements, mirroring the source notation.
 A two-literal clause over complementary polarities of one atom is read as a
@@ -22,12 +24,11 @@ import json
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from .lifting import KindDeclarations, ObjectOntAtom
 from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
-                    Symbol, Theory, atom_body, atom_sort_key,
-                    canonical_conditions, ranked_atoms)
+                    Symbol, Theory, canonical_conditions)
 
 
 # A unit statement adds make(*arguments) to the Theory or KindDeclarations
@@ -112,9 +113,11 @@ class ParseResult:
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token]):
+    def __init__(self, tokens: List[_Token], symbols: Optional[dict] = None):
         self.tokens = tokens
         self.pos = 0
+        # (name, args) -> the one Symbol of that text in this parse
+        self.symbols: Dict[tuple, Symbol] = {} if symbols is None else symbols
         self.warnings: List[str] = []
         # Theory and KindDeclarations field name -> the values recorded
         self.sets: Dict[str, Set] = defaultdict(set)
@@ -179,8 +182,13 @@ class _Parser:
                 self._next()
                 parts.append(self._name().text)
             self._next("]")
-            return Symbol(parts[0], tuple(parts[1:]))
-        return Symbol(self._name().text)
+            key = (parts[0], tuple(parts[1:]))
+        else:
+            key = (self._name().text, None)
+        s = self.symbols.get(key)
+        if s is None:
+            s = self.symbols[key] = Symbol(*key)
+        return s
 
     def _args(self, count: int, head: _Token) -> List:
         self._next("(")
@@ -301,11 +309,12 @@ def parse_input(text: str) -> ParseResult:
     return _Parser(_tokenize(text)).parse()
 
 
-def _symbol_from_text(text) -> Symbol:
-    """One symbol in fact-file syntax, as the JSON report writes it."""
+def _symbol_from_text(text, symbols: dict) -> Symbol:
+    """One symbol in fact-file syntax, as the JSON report writes it, interned
+    in symbols."""
     try:
         if isinstance(text, str) and "%" not in text:  # '%' starts a comment
-            parser = _Parser(_tokenize(text))
+            parser = _Parser(_tokenize(text), symbols)
             s = parser._symbol()
             if parser._peek() is None:
                 return s
@@ -321,7 +330,7 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _json_atom(entry) -> ExplanationAtom:
+def _json_atom(entry, symbols: dict) -> ExplanationAtom:
     """One explanation object; its "status" is ignored."""
     if not (isinstance(entry, dict)
             and {"from", "to", "conditions"} <= entry.keys()):
@@ -329,19 +338,21 @@ def _json_atom(entry) -> ExplanationAtom:
                          "\"conditions\", found %s" % json.dumps(entry))
     conditions = _json_list(entry["conditions"], "\"conditions\"")
     return ExplanationAtom(
-        _symbol_from_text(entry["from"]), _symbol_from_text(entry["to"]),
-        canonical_conditions(_symbol_from_text(c) for c in conditions))
+        _symbol_from_text(entry["from"], symbols),
+        _symbol_from_text(entry["to"], symbols),
+        canonical_conditions(_symbol_from_text(c, symbols)
+                             for c in conditions))
 
 
 def _parse_json_stage(data: dict) -> ParseResult:
     """The "explanations" (generated) and "optimal" atoms of a --format
     json report, which is otherwise ignored; ParseError when their shape or
     a symbol is malformed."""
-    stage = StageFacts()
+    stage, symbols = StageFacts(), {}
     for section in STAGE_SECTIONS:
         for entry in _json_list(data.get(section.key, []),
                                 "\"%s\"" % section.key):
-            getattr(stage, section.field).add(_json_atom(entry))
+            getattr(stage, section.field).add(_json_atom(entry, symbols))
     return ParseResult(theory=Theory(), stage=stage)
 
 
@@ -373,16 +384,3 @@ def emit_theory(t: Theory) -> str:
         lines += _emit_units(t.kind_decls, {
             f.name for f in dataclasses.fields(KindDeclarations)})
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def emit_atoms(atoms, functor: str) -> List[str]:
-    return ["%s." % atom.render(functor)
-            for atom in sorted(atoms, key=atom_sort_key)]
-
-
-def emit_verified(verified: Dict[int, FrozenSet[ExplanationAtom]]) -> List[str]:
-    """explVer lines by world index; each distinct atom is formatted once."""
-    order, ranks = ranked_atoms(verified)
-    bodies = [atom_body(*atom.key()) for atom in order]
-    return ["explVer(%d,%s)." % (index, bodies[r])
-            for index in sorted(ranks) for r in ranks[index]]

@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .closure import Rows, compute_closures
 from .model import (CausalAtom, Clause, ExplanationAtom, Literal, Symbol,
-                    Theory, atom_sort_key)
+                    Theory)
 
 
 class WorldOverflowError(RuntimeError):
@@ -37,16 +37,6 @@ class World:
 
     def facts(self) -> Tuple[str, ...]:
         return tuple(sorted(lit.render() for lit in self.chosen))
-
-
-@dataclass(frozen=True)
-class Verdict:
-    source: Symbol
-    target: Symbol
-    conditions: tuple
-    verified_in: FrozenSet[int]
-    brave: bool
-    cautious: bool
 
 
 def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...]]:
@@ -212,20 +202,15 @@ def verify(atoms: Iterable[ExplanationAtom], world: World
 
 
 def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],
-                   n_worlds: int) -> Tuple[Verdict, ...]:
-    """Aggregate per-world verification into brave/cautious verdicts."""
+                   n_worlds: int) -> Dict[ExplanationAtom, FrozenSet[int]]:
+    """Each atom verified in some world, mapped to the indices of the worlds
+    that verify it, in no particular order.  An atom is brave when it is a
+    key and cautious when its set holds all n_worlds worlds.  Raises
+    InconsistentTheoryError when no world survives."""
     if n_worlds == 0:
         raise InconsistentTheoryError("inconsistent premises: no world survives")
     seen = defaultdict(set)
     for index, atoms in verified_by_world.items():
         for atom in atoms:
             seen[atom].add(index)
-    verdicts = []
-    for atom in sorted(seen, key=atom_sort_key):
-        indices = frozenset(seen[atom])
-        verdicts.append(Verdict(source=atom.source, target=atom.target,
-                                conditions=atom.conditions,
-                                verified_in=indices,
-                                brave=bool(indices),
-                                cautious=len(indices) == n_worlds))
-    return tuple(verdicts)
+    return {atom: frozenset(indices) for atom, indices in seen.items()}

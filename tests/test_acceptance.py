@@ -177,8 +177,10 @@ def test_criterion_7_verification_semantics(announce, diagram):
         conds = {a.conditions for a in kept
                  if (a.source, a.target) == (sym("alpha"), sym("delta"))}
         assert conds == FOUR_OPTIMAL - {_conds("alpha", "gamma1")}
+        # in one world every brave atom (a key) is cautious (holds in it)
         verdicts = brave_cautious({1: kept}, 1)
-        assert all(v.brave == v.cautious for v in verdicts)
+        assert set(verdicts) == kept
+        assert all(worlds == {1} for worlds in verdicts.values())
     _criterion(announce, 7, "negative-fact verification, brave equals "
                             "cautious in a single world", body)
 

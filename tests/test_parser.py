@@ -1,9 +1,10 @@
 """Fact-file parsing, emission, and round-trip stability."""
 import pytest
 
+from causalexpl.cli import RunConfig, RunResult, render_text
 from causalexpl.model import CausalAtom, Literal, OntAtom, Symbol, sym
-from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_atoms,
-                               emit_theory, parse_input, parse_theory)
+from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_theory,
+                               parse_input, parse_theory)
 
 
 def test_basic_facts():
@@ -58,6 +59,17 @@ def test_structured_symbols():
     assert ca.cause == Symbol("own", ("tom", "book"))
     (oa,) = t.ontology
     assert oa.sub == Symbol("p", ())
+
+
+def test_one_symbol_object_per_name_in_a_parse():
+    t = parse_theory("cause(alpha,[p,x]). true(alpha). -true([p,x]).")
+    (ca,) = t.causal
+    facts = {lit.positive: lit.atom for lit in t.facts}
+    assert facts[True] is ca.cause and facts[False] is ca.effect
+    r = parse_input('{"explanations": [{"from": "alpha", "to": "[p,x]", '
+                    '"conditions": ["alpha", "[p,x]"]}]}')
+    (g,) = r.stage.generated
+    assert {id(s) for s in g.conditions} == {id(g.source), id(g.target)}
 
 
 def test_lifting_facts():
@@ -163,7 +175,8 @@ def test_every_unit_statement_parses_emits_and_checks(functor):
 
 def test_emit_atoms_canonical_order():
     r = parse_input("ecSet(b,c,{b}). ecSet(a,c,{a,x}). ecSet(a,b,{a}).")
-    lines = emit_atoms(r.stage.generated, "ecSet")
+    result = RunResult(theory=r.theory, generated=frozenset(r.stage.generated))
+    lines = render_text(result, RunConfig(stage="gen")).splitlines()
     assert lines == ["ecSet(a,b,{a}).", "ecSet(a,c,{a,x}).", "ecSet(b,c,{b})."]
 
 

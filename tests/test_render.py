@@ -1,9 +1,12 @@
 """The report writers against references built the way json.dumps and the
 per-world sorts built them: --format json is byte-identical to
 json.dumps(doc, indent=2), and text output to the per-world sorted lines."""
+import collections
 import dataclasses
+import functools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from causalexpl.cli import (RunConfig, _json, _Raw, render_json, render_text,
                             run_pipeline)
+from causalexpl import model
 from causalexpl.model import Literal, atom_sort_key
 from causalexpl.parser import STAGE_SECTIONS, parse_input
 from conftest import FIG_TEXT, random_theory
@@ -44,11 +48,12 @@ def reference_doc(result, config):
                                      key=atom_sort_key)]}
             for w in result.worlds]
         doc["verdicts"] = [
-            {"from": str(v.source), "to": str(v.target),
-             "conditions": [str(s) for s in v.conditions],
-             "brave": v.brave, "cautious": v.cautious,
-             "worlds": sorted(v.verified_in)}
-            for v in result.verdicts]
+            {"from": str(a.source), "to": str(a.target),
+             "conditions": [str(s) for s in a.conditions],
+             "brave": True,
+             "cautious": len(result.verdicts[a]) == len(result.worlds),
+             "worlds": sorted(result.verdicts[a])}
+            for a in sorted(result.verdicts, key=atom_sort_key)]
     return doc
 
 
@@ -68,10 +73,10 @@ def reference_text(result, config):
         for index in sorted(result.verified):
             lines += ["explVer(%d,%s)." % (index, _body(*a.key())) for a in
                       sorted(result.verified[index], key=atom_sort_key)]
-        for v in result.verdicts:
-            body = _body(v.source, v.target, v.conditions)
-            lines += (["brave(%s)." % body] if v.brave else []) + \
-                (["cautious(%s)." % body] if v.cautious else [])
+        for a in sorted(result.verdicts, key=atom_sort_key):
+            lines += ["brave(%s)." % _body(*a.key())] + \
+                (["cautious(%s)." % _body(*a.key())]
+                 if len(result.verdicts[a]) == len(result.worlds) else [])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -127,6 +132,41 @@ def test_lifted_report_matches_the_reference(stage):
 @pytest.mark.parametrize("stage", STAGES)
 def test_oracle_report_matches_the_reference(stage):
     _check(parse_input(FIXED["diagram"]).theory, stage, oracle=True)
+
+
+def _count_calls(monkeypatch, fn):
+    """A Counter of the first argument of every call to fn, wherever a
+    module of the package refers to it."""
+    seen = collections.Counter()
+
+    @functools.wraps(fn)
+    def counted(atom, *rest):
+        seen[atom] += 1
+        return fn(atom, *rest)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("causalexpl"):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_each_reported_atom_is_sorted_and_formatted_once(monkeypatch,
+                                                         render):
+    config = RunConfig(stage="all")
+    result = run_pipeline(parse_input(FIXED["diagram"]).theory,
+                          parse_input("").stage, config)
+    assert len(result.worlds) > 1
+    reported = set().union(result.generated, result.optimal,
+                           *result.verified.values())
+    keys = _count_calls(monkeypatch, model.atom_sort_key)
+    bodies = _count_calls(monkeypatch, model.atom_body)
+    render(result, config)
+    assert keys == dict.fromkeys(reported, 1)
+    # render_json writes no fact-file bodies
+    assert bodies == (dict.fromkeys(reported, 1) if render is render_text
+                      else {})
 
 
 # -- random theories -------------------------------------------------------------

@@ -151,11 +151,9 @@ def test_verify_no_negative_facts_keeps_all(diagram):
 
 def test_brave_cautious_flags():
     atom = ExplanationAtom(sym("a"), sym("b"), (sym("a"),))
-    verdicts = brave_cautious({1: [atom], 2: []}, 2)
-    (v,) = verdicts
-    assert v.brave and not v.cautious
-    (v,) = brave_cautious({1: [atom]}, 1)
-    assert v.brave and v.cautious
+    # brave: the atom is a key; cautious: its worlds are all the worlds
+    assert brave_cautious({1: [atom], 2: []}, 2) == {atom: frozenset({1})}
+    assert brave_cautious({1: [atom]}, 1) == {atom: frozenset({1})}
 
 
 def test_brave_cautious_no_worlds_raises():
