@@ -24,9 +24,8 @@ overflow, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -47,26 +46,26 @@ EXIT_OVERFLOW = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    stage: str = "all"
-    max_worlds: int = 1024
-    inclusive_disjunction: bool = False
-    lifting: bool = False
-    oracle: bool = False
+RunConfig = namedtuple(
+    "RunConfig", "stage max_worlds inclusive_disjunction lifting oracle",
+    defaults=("all", 1024, False, False, False))
 
 
-@dataclass
 class RunResult:
-    theory: Theory
-    generated: FrozenSet[ExplanationAtom] = frozenset()
-    optimal: FrozenSet[ExplanationAtom] = frozenset()
-    worlds: Tuple[World, ...] = ()
-    verified: Dict[int, FrozenSet[ExplanationAtom]] = field(default_factory=dict)
-    # atom -> the indices of the worlds that verify it (brave_cautious)
-    verdicts: Dict[ExplanationAtom, FrozenSet[int]] = field(
-        default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
+    """What one run derived; run_pipeline fills it in stage by stage."""
+    __slots__ = ("theory", "generated", "optimal", "worlds", "verified",
+                 "verdicts", "warnings")
+
+    def __init__(self, theory: Theory,
+                 generated: FrozenSet[ExplanationAtom] = frozenset()):
+        self.theory = theory
+        self.generated = generated
+        self.optimal: FrozenSet[ExplanationAtom] = frozenset()
+        self.worlds: Tuple[World, ...] = ()
+        self.verified: Dict[int, FrozenSet[ExplanationAtom]] = {}
+        # atom -> the indices of the worlds that verify it (brave_cautious)
+        self.verdicts: Dict[ExplanationAtom, FrozenSet[int]] = {}
+        self.warnings: List[str] = []
 
 
 def apply_lifting(t: Theory, warnings: List[str]) -> Theory:
@@ -138,9 +137,11 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                               closures=closures)
     result.worlds = worlds
     # generate + optimize run once per distinct causal set, not per world;
-    # a set's closures are dropped once its optimal atoms exist
+    # the closures of a set no world holds are dropped now, and those of
+    # the others once their optimal atoms exist
     optimal_by_causal = {base: result.optimal}
-    closures.pop(base, None)
+    for causal in (closures.keys() - {w.causal for w in worlds}) | {base}:
+        closures.pop(causal, None)
     for world in worlds:
         atoms = optimal_by_causal.get(world.causal)
         if atoms is None:
@@ -192,24 +193,39 @@ class _Raw(str):
 def _json(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2) writes it, its inner lines
     indented by pad; a _Raw string is written as it is."""
+    out: List[str] = []
+    _write(value, pad, out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: List[str]):
+    """Append the text of _json(value, pad) to out, in chunks: a string
+    value is appended as it is, not copied."""
     if isinstance(value, str):
-        return value if isinstance(value, _Raw) else _quote(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [inner + _quote(k) + ": " + _json(v, inner)
-                 for k, v in value.items()]
-        brackets = "{}"
+        out.append(value if isinstance(value, _Raw) else _quote(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
     else:
-        items = [inner + _json(v, inner) for v in value]
-        brackets = "[]"
-    if not items:
-        return brackets
-    return (brackets[0] + "\n" + ",\n".join(items) + "\n" + pad
-            + brackets[1])
+        inner = pad + "  "
+        sep, comma = "\n" + inner, ",\n" + inner
+        if isinstance(value, dict):
+            out.append("{")
+            for k, v in value.items():
+                out += (sep, _quote(k), ": ")
+                _write(v, inner, out)
+                sep = comma
+            out.append("\n" + pad + "}")
+        else:
+            out.append("[")
+            for v in value:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = comma
+            out.append("\n" + pad + "]")
 
 
 def _atom_json(atom: ExplanationAtom, **more) -> dict:
@@ -246,23 +262,24 @@ def render_json(result: RunResult, config: RunConfig) -> str:
                        worlds=sorted(worlds))
             for atom, worlds in ((order[r], result.verdicts[order[r]])
                                  for r in ranks["verdicts"])]
-    return _json(doc) + "\n"
+    out: List[str] = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # -- entry point ---------------------------------------------------------------
 
-def _merge(parts: list):
-    """Field-by-field union of dataclass values of one type (theories with
-    their kind declarations, or stage facts): sets are joined, dataclass
+def _merge(parts):
+    """Field-by-field union of namedtuple values of one type (theories with
+    their kind declarations, or stage facts): sets are joined, namedtuple
     fields are merged the same way, and None counts as empty."""
     parts = [p for p in parts if p is not None]
     if not parts:
         return None
-    if not dataclasses.is_dataclass(parts[0]):
+    if not isinstance(parts[0], tuple):
         return frozenset().union(*parts)
-    return type(parts[0])(**{
-        f.name: _merge([getattr(p, f.name) for p in parts])
-        for f in dataclasses.fields(parts[0])})
+    return type(parts[0])(*map(_merge, zip(*parts)))
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,7 @@ impcos -- the strict (asymmetric) part of impco
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from types import MappingProxyType
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
@@ -30,18 +29,14 @@ def relation_rows(pairs: Iterable[Pair]) -> Tuple[Rows, Rows]:
                                    rows.items()}) for rows in (fwd, bwd))
 
 
-@dataclass(frozen=True)
-class ClosureRelations:
+class ClosureRelations(namedtuple("ClosureRelations", (
+        "ontt", "impco", "impcos",
+        "ontt_supers",      # sub -> supers
+        "ontt_subs",        # super -> subs
+        "impco_succ", "impco_pred"))):
     """The one closure index of a theory: every stage reads its pair sets
-    and their rows, which derive from the pairs and take no part in
-    equality."""
-    ontt: PairSet
-    impco: PairSet
-    impcos: PairSet
-    ontt_supers: Rows = field(compare=False, repr=False)  # sub -> supers
-    ontt_subs: Rows = field(compare=False, repr=False)    # super -> subs
-    impco_succ: Rows = field(compare=False, repr=False)
-    impco_pred: Rows = field(compare=False, repr=False)
+    and their rows, which derive from the pairs."""
+    __slots__ = ()
 
 
 def _reachability(edges: Iterable[Pair]) -> PairSet:

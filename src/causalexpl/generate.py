@@ -10,20 +10,15 @@ relation, which keeps only the subset-minimal condition sets of each
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Dict, FrozenSet, Set, Tuple
 
 from .closure import ClosureRelations, compute_closures
 from .model import ExplanationAtom, Symbol, Theory, canonical_conditions
 
 
-@dataclass(frozen=True)
-class InitialExplanation:
-    """source explains target because {source, extra}, without transitivity."""
-    source: Symbol
-    target: Symbol
-    extra: Symbol
+# source explains target because {source, extra}, without transitivity
+InitialExplanation = namedtuple("InitialExplanation", "source target extra")
 
 
 def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]:

@@ -11,36 +11,38 @@ propkind    -- plain propositional objects
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from collections import namedtuple
+from typing import Iterable, Set
 
 from .model import OntAtom, Symbol
 
 
-@dataclass(frozen=True)
-class ObjectOntAtom:
+class ObjectOntAtom(namedtuple("ObjectOntAtom", "sub super")):
     """An IS-A link between objects (classes or individuals), not atoms."""
-    sub: str
-    super: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sub == self.super:
+    def __new__(cls, sub: str, super: str):
+        if sub == super:
             raise ValueError("reflexive ont_object atom")
+        return tuple.__new__(cls, (sub, super))
 
     def __str__(self) -> str:
         return "ont_object(%s,%s)" % (self.sub, self.super)
 
 
-@dataclass(frozen=True)
-class KindDeclarations:
-    onekind: FrozenSet[str] = frozenset()
-    allkind: FrozenSet[str] = frozenset()
-    all_onekind: FrozenSet[str] = frozenset()
-    propkind: FrozenSet[str] = frozenset()
-    restricted: FrozenSet[str] = frozenset()
-    kind_par: FrozenSet[Tuple[str, str, str]] = frozenset()
+class KindDeclarations(namedtuple(
+        "KindDeclarations", "onekind allkind all_onekind propkind restricted "
+        "kind_par", defaults=(frozenset(),) * 6)):
+    """Sets of predicate names per kind; kind_par holds (p, x, y) triples."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        decls = super().__new__(cls, *args, **kwargs)
+        decls.__post_init__()
+        return decls
 
     def __post_init__(self):
+        """Raises ValueError when a predicate has two kinds."""
         kinds = [("onekind", self.onekind), ("allkind", self.allkind),
                  ("all_onekind", self.all_onekind), ("propkind", self.propkind)]
         for i, (name_a, set_a) in enumerate(kinds):
@@ -55,10 +57,7 @@ class KindDeclarations:
             | set(self.propkind)
 
 
-@dataclass
-class LiftReport:
-    atoms: FrozenSet[OntAtom]
-    warnings: List[str] = field(default_factory=list)
+LiftReport = namedtuple("LiftReport", "atoms warnings")
 
 
 def lift(obj_ont: Iterable[ObjectOntAtom], kinds: KindDeclarations,

@@ -1,50 +1,73 @@
 """Core data model: symbols, premise atoms, clauses and explanation atoms.
 
 All values are immutable; a validated theory can be shared freely between
-pipeline runs.
+pipeline runs.  Symbols, causal and ontological atoms and literals are
+interned, one object per value, and every other value is a tuple, so
+hashing and comparing them runs in C.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Tuple, Union)
+from collections import namedtuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
-if TYPE_CHECKING:
-    from .lifting import KindDeclarations, ObjectOntAtom
+
+class _Interned:
+    """One object per value: a class's constructor returns the object its
+    table holds for the arguments, and makes it on first use.  ``==`` and
+    ``hash`` are then object identity, which runs in C.  Values are
+    read-only; a copy or an unpickled value is the table's object again.
+    A table keeps every value made for the life of the process."""
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    @classmethod
+    def _intern(cls, *values):
+        """A new object with its slots set to values, in order, held in the
+        table under the values of its fields."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        cls._table[values[:len(cls._fields)]] = obj
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_Interned):
     """A propositional symbol, flat ("alpha") or structured ("[own,tom,book]").
 
     ``args is None`` marks a flat symbol; a tuple (possibly empty) marks a
     structured one.  Both live in a single namespace and are ordered by
-    their rendered text form.
-
-    The text and the hash are read on every sort, print and set or dict
-    lookup, so they are computed once, here; they are not fields, and ``==``
-    and ``repr`` see only name and args.
+    their rendered text form, which is computed once, here.  Text alone is
+    not identity: Symbol("[at,x]") is flat and not sym("at", "x").
     """
-    name: str
-    args: Optional[Tuple[str, ...]] = None
+    __slots__ = ("name", "args", "_text")
+    _fields = ("name", "args")
+    _table: dict = {}
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str, args: Optional[Tuple[str, ...]] = None):
+        s = cls._table.get((name, args))
+        if s is not None:
+            return s
+        if not name:
             raise ValueError("symbol name must be non-empty")
-        text = (self.name if self.args is None
-                else "[" + ",".join((self.name,) + self.args) + "]")
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "_hash", hash((self.name, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # copies and unpickled values recompute the hash, which depends on
-        # the process's hash seed
-        return (Symbol, (self.name, self.args))
+        text = (name if args is None
+                else "[" + ",".join((name,) + args) + "]")
+        return cls._intern(name, args, text)
 
     @property
     def structured(self) -> bool:
@@ -64,60 +87,71 @@ def sym(name: str, *args: str) -> Symbol:
     return Symbol(name, tuple(args) if args else None)
 
 
-@dataclass(frozen=True)
-class CausalAtom:
-    cause: Symbol
-    effect: Symbol
+class CausalAtom(_Interned):
+    __slots__ = _fields = ("cause", "effect")
+    _table: dict = {}
+
+    def __new__(cls, cause: Symbol, effect: Symbol):
+        return (cls._table.get((cause, effect))
+                or cls._intern(cause, effect))
 
     def __str__(self) -> str:
         return "cause(%s,%s)" % (self.cause, self.effect)
 
 
-@dataclass(frozen=True)
-class OntAtom:
+class OntAtom(_Interned):
     """An IS-A link: sub is a super."""
-    sub: Symbol
-    super: Symbol
+    __slots__ = _fields = ("sub", "super")
+    _table: dict = {}
+
+    def __new__(cls, sub: Symbol, super: Symbol):
+        return (cls._table.get((sub, super))
+                or cls._intern(sub, super))
 
     def __str__(self) -> str:
         return "ont(%s,%s)" % (self.sub, self.super)
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A truth literal over a symbol or a causal atom, with polarity."""
-    atom: Union[Symbol, CausalAtom]
-    positive: bool = True
+class Literal(_Interned):
+    """A truth literal over a symbol or a causal atom, with polarity; its
+    text is computed once, like a symbol's."""
+    __slots__ = ("atom", "positive", "_text")
+    _fields = ("atom", "positive")
+    _table: dict = {}
+
+    def __new__(cls, atom: Union[Symbol, CausalAtom], positive: bool = True):
+        lit = cls._table.get((atom, positive))
+        if lit is not None:
+            return lit
+        text = (str(atom) if isinstance(atom, CausalAtom)
+                else "true(%s)" % atom)
+        return cls._intern(atom, positive, ("" if positive else "-") + text)
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
 
     def render(self) -> str:
-        sign = "" if self.positive else "-"
-        if isinstance(self.atom, CausalAtom):
-            return "%s%s" % (sign, self.atom)
-        return "%strue(%s)" % (sign, self.atom)
+        return self._text
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def _literal_key(lit: Literal) -> tuple:
     return (lit.render(),)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "literals")):
     """A disjunction of literals (one CNF clause).
 
     Duplicate literals are collapsed by construction; tautologies are the
     parser's problem (dropped there with a warning).
     """
-    literals: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.literals:
+    def __new__(cls, literals: frozenset):
+        if not literals:
             raise ValueError("empty clause")
+        return tuple.__new__(cls, (literals,))
 
     def sorted_literals(self) -> Tuple[Literal, ...]:
         return tuple(sorted(self.literals, key=_literal_key))
@@ -153,31 +187,21 @@ def canonical_conditions(symbols: Iterable[Symbol]) -> ConditionSet:
     return out
 
 
-@dataclass(frozen=True)
-class ExplanationAtom:
+class ExplanationAtom(namedtuple("ExplanationAtom",
+                                 "source target conditions")):
     """source explains target because the condition set is jointly possible.
 
-    An atom's stage (generated, optimal, verified in a world) is the
-    collection that holds it, not a field of the atom.  Its hash is computed
-    once, like a Symbol's, and is not a field.
+    A tuple of its three fields, so its hash and ``==`` run in C over the
+    interned symbols.  An atom's stage (generated, optimal, verified in a
+    world) is the collection that holds it, not a field of the atom.
     """
-    source: Symbol
-    target: Symbol
-    conditions: ConditionSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source not in self.conditions:
+    def __new__(cls, source: Symbol, target: Symbol,
+                conditions: ConditionSet):
+        if source not in conditions:
             raise ValueError("explaining symbol must belong to its condition set")
-        object.__setattr__(self, "_hash", hash(self.key()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (ExplanationAtom, self.key())
-
-    def key(self) -> tuple:
-        return (self.source, self.target, self.conditions)
+        return tuple.__new__(cls, (source, target, conditions))
 
     def render(self) -> str:
         return "ecSet(%s)" % atom_body(self)
@@ -208,17 +232,18 @@ def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
                    for i, atoms in groups.items()}
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(namedtuple("Theory", (
+        "causal",            # of CausalAtom
+        "ontology",          # of OntAtom
+        "facts",             # of Literal (unit facts)
+        "clauses",           # of Clause
+        "declared",          # of Symbol (explicit symbol/1)
+        "completions",       # of Symbol | CausalAtom to complete
+        "object_ontology",   # of ObjectOntAtom (lifting input)
+        "kind_decls"),       # KindDeclarations or None
+        defaults=(frozenset(),) * 7 + (None,))):
     """The user-supplied premises: C (causal), O (ontology) and W (clauses)."""
-    causal: frozenset = frozenset()           # of CausalAtom
-    ontology: frozenset = frozenset()         # of OntAtom
-    facts: frozenset = frozenset()            # of Literal (unit facts)
-    clauses: frozenset = frozenset()          # of Clause
-    declared: frozenset = frozenset()         # of Symbol (explicit symbol/1)
-    completions: frozenset = frozenset()      # of Symbol | CausalAtom to complete
-    object_ontology: frozenset = frozenset()  # of ObjectOntAtom (lifting input)
-    kind_decls: Optional["KindDeclarations"] = None
+    __slots__ = ()
 
     @property
     def disjunctive_facts(self) -> frozenset:
@@ -227,12 +252,10 @@ class Theory:
 
     def with_causal(self, causal: Iterable[CausalAtom]) -> "Theory":
         """Copy with a different causal atom set (per-world reinterpretation)."""
-        from dataclasses import replace
-        return replace(self, causal=frozenset(causal))
+        return self._replace(causal=frozenset(causal))
 
     def with_ontology(self, ontology: Iterable[OntAtom]) -> "Theory":
-        from dataclasses import replace
-        return replace(self, ontology=frozenset(ontology))
+        return self._replace(ontology=frozenset(ontology))
 
 
 def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:
@@ -269,10 +292,8 @@ def _literal_symbols(lit: Literal):
     return (lit.atom,)
 
 
-@dataclass
-class ValidationReport:
-    errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "errors warnings")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -281,7 +302,7 @@ class ValidationReport:
 
 def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
     """Well-formedness checks; findings are reported, nothing is raised."""
-    report = ValidationReport()
+    report = ValidationReport([], [])
     for oa in t.ontology:
         if oa.sub == oa.super:
             report.errors.append("reflexive ontology atom: %s" % oa)
@@ -290,7 +311,7 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
             report.warnings.append("self-cause: %s" % ca)
     for clause in t.clauses:
         if clause.is_tautology():
-            report.warnings.append("tautology dropped: %s" % clause)
+            report.warnings.append("tautology dropped: %s" % (clause,))
     for lit in t.facts:
         if lit.negated() in t.facts:
             report.errors.append("contradictory unit facts on %s" % lit.atom)

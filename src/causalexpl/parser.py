@@ -19,11 +19,9 @@ completion request for that atom, not as a (tautological) clause.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from .lifting import KindDeclarations, ObjectOntAtom
@@ -72,11 +70,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<bad>\S))")
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
+_Token = namedtuple("_Token", "kind text line")
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -98,18 +92,13 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-@dataclass
-class StageFacts:
-    """Explanation atoms recovered from a previous stage's output."""
-    generated: Set[ExplanationAtom] = field(default_factory=set)
-    optimal: Set[ExplanationAtom] = field(default_factory=set)
+# The explanation atoms recovered from a previous stage's output; the
+# parser records into StageFacts(set(), set()).
+StageFacts = namedtuple("StageFacts", "generated optimal",
+                        defaults=(frozenset(), frozenset()))
 
 
-@dataclass
-class ParseResult:
-    theory: Theory
-    stage: StageFacts
-    warnings: List[str] = field(default_factory=list)
+ParseResult = namedtuple("ParseResult", "theory stage warnings")
 
 
 class _Parser:
@@ -121,7 +110,7 @@ class _Parser:
         self.warnings: List[str] = []
         # Theory and KindDeclarations field name -> the values recorded
         self.sets: Dict[str, Set] = defaultdict(set)
-        self.stage = StageFacts()
+        self.stage = StageFacts(set(), set())
 
     # -- token plumbing ----------------------------------------------------
     def _peek(self) -> Optional[_Token]:
@@ -156,10 +145,9 @@ class _Parser:
                            warnings=self.warnings)
 
     def _frozen(self, cls, **given):
-        """The dataclass cls with its other fields the recorded sets."""
-        return cls(**given, **{f.name: frozenset(self.sets[f.name])
-                               for f in dataclasses.fields(cls)
-                               if f.name not in given})
+        """The namedtuple cls with its other fields the recorded sets."""
+        return cls(**given, **{name: frozenset(self.sets[name])
+                               for name in cls._fields if name not in given})
 
     def _statement(self):
         start = self._peek().line
@@ -348,12 +336,12 @@ def _parse_json_stage(data: dict) -> ParseResult:
     """The "explanations" (generated) and "optimal" atoms of a --format
     json report, which is otherwise ignored; ParseError when their shape or
     a symbol is malformed."""
-    stage, symbols = StageFacts(), {}
+    stage, symbols = StageFacts(set(), set()), {}
     for section in STAGE_SECTIONS:
         for entry in _json_list(data.get(section.key, []),
                                 "\"%s\"" % section.key):
             getattr(stage, section.field).add(_json_atom(entry, symbols))
-    return ParseResult(theory=Theory(), stage=stage)
+    return ParseResult(theory=Theory(), stage=stage, warnings=[])
 
 
 def parse_theory(text: str) -> Theory:
@@ -379,8 +367,7 @@ def emit_theory(t: Theory) -> str:
         pos = Literal(atom, True)
         lines.append("%s v %s." % (pos, pos.negated()))
     for values in (t.clauses, t.object_ontology):
-        lines += ["%s." % x for x in sorted(values, key=str)]
+        lines += ["%s." % (x,) for x in sorted(values, key=str)]
     if t.kind_decls is not None:
-        lines += _emit_units(t.kind_decls, {
-            f.name for f in dataclasses.fields(KindDeclarations)})
+        lines += _emit_units(t.kind_decls, KindDeclarations._fields)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -7,8 +7,7 @@ brave (some world) and cautious (all worlds) verdicts can be computed.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .closure import Rows, compute_closures
@@ -27,13 +26,13 @@ class InconsistentTheoryError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class World:
+class World(namedtuple("World", (
+        "index",
+        "chosen",     # the literals chosen, facts included
+        "truth",      # symbol -> bool; an absent symbol is unknown
+        "causal"))):  # the effective causal atoms
     """One resolution of all choices, with a three-valued truth assignment."""
-    index: int
-    chosen: FrozenSet[Literal]
-    truth: Mapping[Symbol, bool]             # absent symbol = unknown
-    causal: FrozenSet[CausalAtom]            # effective causal atoms
+    __slots__ = ()
 
     def facts(self) -> Tuple[str, ...]:
         return tuple(sorted(lit.render() for lit in self.chosen))
@@ -195,10 +194,9 @@ def verify(atoms: Iterable[ExplanationAtom], world: World
            ) -> FrozenSet[ExplanationAtom]:
     """The atoms whose condition set has no member assigned false in the
     world; the same atom objects, not copies."""
-    truth = world.truth
+    false = {s for s, value in world.truth.items() if not value}
     return frozenset(atom for atom in atoms
-                     if not any(truth.get(member) is False
-                                for member in atom.conditions))
+                     if false.isdisjoint(atom.conditions))
 
 
 def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],

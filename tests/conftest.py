@@ -100,4 +100,4 @@ def random_theory(rng: random.Random, max_symbols: int = 8,
 
 def atom_keys(atoms):
     """Canonical comparable form of a set of explanation atoms."""
-    return {a.key() for a in atoms}
+    return {tuple(a) for a in atoms}

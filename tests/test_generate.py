@@ -230,7 +230,7 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
     guarded = reduce_conditions(gather_transitive(seeds, inits), c)
 
     # Unguarded variant: saturate unions without the not-ecSet suppression.
-    state = {a.key() for a in seeds}
+    state = {tuple(a) for a in seeds}
     from causalexpl.model import ExplanationAtom, canonical_conditions
     from collections import defaultdict
     inits_from = defaultdict(list)

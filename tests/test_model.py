@@ -1,6 +1,5 @@
 """Data-model behaviour: symbols, clauses, condition sets, validation."""
 import copy
-import dataclasses
 import json
 import os
 import pickle
@@ -66,6 +65,9 @@ def test_explanation_atom_requires_source_membership():
 def test_clause_tautology_and_empty():
     taut = Clause(frozenset([Literal(a, True), Literal(a, False)]))
     assert taut.is_tautology()
+    # a clause is a one-field tuple, so it must not be taken for %-arguments
+    assert validate_theory(Theory(clauses=frozenset([taut]))).warnings == [
+        "tautology dropped: -true(alpha) v true(alpha)"]
     plain = Clause(frozenset([Literal(a, True), Literal(b, False)]))
     assert not plain.is_tautology()
     with pytest.raises(ValueError):
@@ -127,7 +129,7 @@ def test_validate_lifting_requires_kind_declarations():
     assert validate_theory(t, lifting=False).ok
 
 
-# -- the cached text and hash ------------------------------------------------
+# -- one object per value ----------------------------------------------------
 
 def _four_routes():
     """The symbol [at,x], the symbol y and the atom (y, [at,x], {y}) as the
@@ -144,42 +146,63 @@ def _four_routes():
 
 def test_symbols_and_atoms_of_every_route_agree():
     atoms = _four_routes()
-    atoms += [dataclasses.replace(atoms[0]), copy.copy(atoms[1]),
-              copy.deepcopy(atoms[2]), pickle.loads(pickle.dumps(atoms[3])),
-              dataclasses.replace(atoms[3], target=Symbol("at", ("x",)))]
+    atoms += [copy.copy(atoms[1]), copy.deepcopy(atoms[2]),
+              pickle.loads(pickle.dumps(atoms[3])),
+              atoms[3]._replace(target=Symbol("at", ("x",)))]
     for atom in atoms:
         assert atom == atoms[0] and hash(atom) == hash(atoms[0])
         assert str(atom) == "ecSet(y,[at,x],{y})"
-        assert atom.target == sym("at", "x")
-        assert hash(atom.target) == hash(("at", ("x",)))
+        assert atom.target is sym("at", "x")
+        assert atom.source is atom.conditions[0] is sym("y")
         assert str(atom.target) == atom.target.render() == "[at,x]"
     assert len(set(atoms)) == 1
-    assert len({a.target for a in atoms} | {sym("at", "x")}) == 1
 
 
-def test_cached_values_are_not_fields():
-    s = sym("at", "x")
-    assert [f.name for f in dataclasses.fields(Symbol)] == ["name", "args"]
-    assert repr(s) == "Symbol(name='at', args=('x',))"
-    assert [f.name for f in dataclasses.fields(ExplanationAtom)] == \
-        ["source", "target", "conditions"]
+@pytest.mark.parametrize("value", [
+    sym("at", "x"), sym("y"), CausalAtom(a, sym("at", "x")), OntAtom(a, b),
+    Literal(CausalAtom(a, b), False), Literal(sym("at", "x"))])
+def test_copies_and_pickles_are_the_same_object(value):
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value)),
+                   pickle.loads(pickle.dumps(value, protocol=0))):
+        assert copied is value
+
+
+def test_equal_values_are_one_object_and_read_only():
+    assert sym("at", "x") is Symbol("at", ("x",))
+    assert CausalAtom(a, b) is CausalAtom(sym("alpha"), sym("beta"))
+    assert Literal(a) is Literal(a, True) is Literal(a, False).negated()
+    # text alone is not identity
+    assert Symbol("[at,x]") is not sym("at", "x")
+    assert Symbol("[at,x]") != sym("at", "x")
+    assert str(Symbol("[at,x]")) == str(sym("at", "x"))
+    assert repr(sym("at", "x")) == "Symbol(name='at', args=('x',))"
+    assert repr(Literal(a, False)) == (
+        "Literal(atom=Symbol(name='alpha', args=None), positive=False)")
     assert repr(ExplanationAtom(a, b, (a,))) == (
         "ExplanationAtom(source=%r, target=%r, conditions=(%r,))" % (a, b, a))
-    # == reads the fields, not the cached hash; text alone is not identity
-    stale = copy.copy(s)
-    object.__setattr__(stale, "_hash", 0)
-    assert stale == s and not stale < s and not s < stale
-    assert sym("at", "x") != Symbol("[at,x]")
-    assert str(Symbol("[at,x]")) == str(sym("at", "x"))
+    for value, field in [(sym("at", "x"), "name"), (sym("y"), "_text"),
+                         (CausalAtom(a, b), "cause"), (OntAtom(a, b), "sub"),
+                         (Literal(a), "positive"),
+                         (ExplanationAtom(a, b, (a,)), "source")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, sym("other"))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        sym("y").extra = 1
 
 
-def test_unpickled_hash_follows_the_hash_seed():
-    # a copy built from the pickled fields rehashes in a process whose hash
-    # seed differs; a pickled cache would keep the writer's hash
+def test_unpickled_values_are_the_objects_of_a_fresh_process():
+    # a pickle re-interns, so in a process with another hash seed the
+    # unpickled atom holds that process's own symbol objects
     atom = ExplanationAtom(sym("at", "x"), b, (sym("at", "x"),))
-    code = ("import pickle, sys; atom = pickle.loads(sys.stdin.buffer.read()); "
-            "assert hash(atom) == hash(atom.key()); "
-            "assert hash(atom.source) == hash(('at', ('x',)))")
+    code = ("import pickle, sys; from causalexpl.model import sym; "
+            "atom = pickle.loads(sys.stdin.buffer.read()); "
+            "assert atom.source is atom.conditions[0] is sym('at', 'x'); "
+            "assert atom.target is sym('beta'); "
+            "assert hash(atom) == hash(tuple(atom)); "
+            "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1")
     for seed in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-c", code], input=pickle.dumps(atom),

@@ -87,11 +87,11 @@ def test_stage_fact_lines():
     r = parse_input("ecSet(alpha,delta,{alpha,gamma1}).\n"
                     "ecSetRes(alpha,delta,{alpha,gamma2}).")
     (g,) = r.stage.generated
-    assert g.key() == (sym("alpha"), sym("delta"),
-                       (sym("alpha"), sym("gamma1")))
+    assert g == (sym("alpha"), sym("delta"),
+                   (sym("alpha"), sym("gamma1")))
     (o,) = r.stage.optimal
-    assert o.key() == (sym("alpha"), sym("delta"),
-                       (sym("alpha"), sym("gamma2")))
+    assert o == (sym("alpha"), sym("delta"),
+                   (sym("alpha"), sym("gamma2")))
     with pytest.raises(ParseError, match="line 1: unknown statement"):
         parse_input("explVer(2,alpha,delta,{alpha,gamma2}).")
 

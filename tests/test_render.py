@@ -2,7 +2,6 @@
 per-world sorts built them: --format json is byte-identical to
 json.dumps(doc, indent=2), and text output to the per-world sorted lines."""
 import collections
-import dataclasses
 import functools
 import json
 import random
@@ -66,16 +65,16 @@ def reference_text(result, config):
     lines = []
     for section in STAGE_SECTIONS:
         if config.stage in section.stages or config.oracle:
-            lines += ["%s(%s)." % (section.functor, _body(*a.key())) for a in
+            lines += ["%s(%s)." % (section.functor, _body(*a)) for a in
                       sorted(getattr(result, section.field),
                              key=atom_sort_key)]
     if config.stage in ("verify", "all") and not config.oracle:
         for index in sorted(result.verified):
-            lines += ["explVer(%d,%s)." % (index, _body(*a.key())) for a in
+            lines += ["explVer(%d,%s)." % (index, _body(*a)) for a in
                       sorted(result.verified[index], key=atom_sort_key)]
         for a in sorted(result.verdicts, key=atom_sort_key):
-            lines += ["brave(%s)." % _body(*a.key())] + \
-                (["cautious(%s)." % _body(*a.key())]
+            lines += ["brave(%s)." % _body(*a)] + \
+                (["cautious(%s)." % _body(*a)]
                  if len(result.verdicts[a]) == len(result.worlds) else [])
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -183,8 +182,7 @@ def test_random_reports_match_the_reference(seed, stage, oracle):
     facts = [Literal(s, False) for s in rng.sample(
         [s for s in symbols if s not in completed],
         min(len(symbols) - len(completed), rng.randint(0, 1)))]
-    t = dataclasses.replace(t, completions=frozenset(completed),
-                            facts=frozenset(facts))
+    t = t._replace(completions=frozenset(completed), facts=frozenset(facts))
     _check(t, stage, oracle=oracle)
 
 

@@ -1,11 +1,14 @@
-"""The runtime is pure standard library (pyproject.toml: dependencies = []).
+"""The runtime is pure standard library (pyproject.toml: dependencies = []),
+and its start-up imports no module it does not need.
 
 Test dependencies such as hypothesis, networkx and numpy are installed next
 to the package, so an accidental runtime import of one of them would pass
 every other test.
 """
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import causalexpl
@@ -30,3 +33,15 @@ def test_runtime_imports_only_the_standard_library():
                      if module not in sys.stdlib_module_names
                      and module != "causalexpl")
     assert sources and foreign == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, and the two take longer to import than
+    # the rest of the package does; -S keeps site-packages' own imports out
+    code = ("import sys, causalexpl.cli; print(sorted({'dataclasses', "
+            "'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -11,9 +11,10 @@ from causalexpl.closure import (compute_closures, impco_closure,
                                relation_rows)
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
-                              OntAtom, Theory, sym, symbol_universe)
+                              OntAtom, Theory, canonicalize, sym,
+                              symbol_universe)
 from causalexpl.optimize import optimize
-from causalexpl.parser import StageFacts
+from causalexpl.parser import StageFacts, parse_input
 from causalexpl.worlds import (InconsistentTheoryError, WorldOverflowError,
                                brave_cautious, enumerate_worlds,
                                propagate_truth, verify)
@@ -145,8 +146,8 @@ def test_verify_no_negative_facts_keeps_all(diagram):
     c = compute_closures(diagram)
     optimal = optimize(generate(diagram), c)
     (world,) = enumerate_worlds(diagram)
-    assert {a.key() for a in verify(optimal, world)} == \
-        {a.key() for a in optimal}
+    assert {tuple(a) for a in verify(optimal, world)} == \
+        {tuple(a) for a in optimal}
 
 
 def test_brave_cautious_flags():
@@ -166,12 +167,12 @@ def test_negative_fact_monotone(diagram):
     c = compute_closures(diagram)
     optimal = optimize(generate(diagram), c)
     (base_world,) = enumerate_worlds(diagram)
-    base = {a.key() for a in verify(optimal, base_world)}
+    base = {tuple(a) for a in verify(optimal, base_world)}
     for name in ("gamma1", "beta3", "epsilon"):
         t = Theory(causal=diagram.causal, ontology=diagram.ontology,
                    facts=frozenset([Literal(sym(name), False)]))
         (world,) = enumerate_worlds(t)
-        assert {a.key() for a in verify(optimal, world)} <= base
+        assert {tuple(a) for a in verify(optimal, world)} <= base
 
 
 # -- differential test against a brute-force enumeration ----------------------
@@ -251,6 +252,26 @@ def test_enumeration_matches_brute_force(seed, inclusive):
                               inclusive_disjunction=inclusive)
     assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
         _reference_worlds(t, inclusive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_verify_is_the_three_valued_definition(seed):
+    # random condition sets over the theory's symbols and one it never
+    # mentions, so members are true, false and unknown in each world
+    rng = random.Random(seed)
+    t = _random_world_theory(rng)
+    symbols = sorted(symbol_universe(t)[0]) + [sym("unmentioned")]
+    atoms = []
+    for _ in range(12):
+        source, target = rng.choice(symbols), rng.choice(symbols)
+        members = {source}.union(
+            rng.sample(symbols, rng.randint(0, min(3, len(symbols)))))
+        atoms.append(ExplanationAtom(source, target, canonicalize(members)))
+    for world in enumerate_worlds(t, max_worlds=10 ** 6):
+        assert verify(atoms, world) == frozenset(
+            a for a in atoms
+            if not any(world.truth.get(m) is False for m in a.conditions))
 
 
 def _counting_propagation(monkeypatch):
@@ -338,3 +359,33 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
         expected = verify(optimize(generate(tw), compute_closures(tw)),
                           world)
         assert result.verified[world.index] == expected
+
+
+def test_pipeline_drops_closures_no_world_needs(monkeypatch):
+    # next to the base set's, the walk builds closures for {cause(a,b),
+    # cause(b,c)}, whose only branch dies as a propagates to c; the one
+    # world is on the empty set
+    t = parse_input("cause(b,c). true(a). -true(c). "
+                    "-cause(b,c) v cause(a,b).").theory
+    built, held = [], []
+
+    def keeping_enumerate(*args, closures, **kwargs):
+        worlds = enumerate_worlds(*args, closures=closures, **kwargs)
+        built.append(set(closures))
+        held.append(closures)
+        return worlds
+
+    def recording_verify(atoms, world):
+        held.append(set(held[0]))
+        return verify(atoms, world)
+
+    monkeypatch.setattr(cli, "enumerate_worlds", keeping_enumerate)
+    monkeypatch.setattr(cli, "verify", recording_verify)
+    result = cli.run_pipeline(t, StageFacts(), cli.RunConfig(stage="verify"))
+    a, b, c = sym("a"), sym("b"), sym("c")
+    assert [w.causal for w in result.worlds] == [frozenset()]
+    assert built == [{frozenset(), frozenset({CausalAtom(b, c)}),
+                      frozenset({CausalAtom(a, b), CausalAtom(b, c)})}]
+    # by the one world's verify, its own closures are used up and those of
+    # the dead causal set are gone
+    assert held[1:] == [set()]
