@@ -14,12 +14,13 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Set
 
-from .model import OntAtom, Symbol
+from .model import OntAtom, Symbol, checked_make
 
 
 class ObjectOntAtom(namedtuple("ObjectOntAtom", "sub super")):
     """An IS-A link between objects (classes or individuals), not atoms."""
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, sub: str, super: str):
         if sub == super:
@@ -35,6 +36,7 @@ class KindDeclarations(namedtuple(
         "kind_par", defaults=(frozenset(),) * 6)):
     """Sets of predicate names per kind; kind_par holds (p, x, y) triples."""
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         decls = super().__new__(cls, *args, **kwargs)

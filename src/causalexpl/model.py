@@ -140,6 +140,13 @@ def _literal_key(lit: Literal) -> tuple:
     return (lit.render(),)
 
 
+@classmethod
+def checked_make(cls, iterable):
+    """A namedtuple's ``_make`` (which ``_replace`` calls) through the
+    class's own checking ``__new__``, for records with an invariant."""
+    return cls(*iterable)
+
+
 class Clause(namedtuple("Clause", "literals")):
     """A disjunction of literals (one CNF clause).
 
@@ -147,6 +154,7 @@ class Clause(namedtuple("Clause", "literals")):
     parser's problem (dropped there with a warning).
     """
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, literals: frozenset):
         if not literals:
@@ -196,6 +204,7 @@ class ExplanationAtom(namedtuple("ExplanationAtom",
     world) is the collection that holds it, not a field of the atom.
     """
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, source: Symbol, target: Symbol,
                 conditions: ConditionSet):

@@ -102,11 +102,9 @@ ParseResult = namedtuple("ParseResult", "theory stage warnings")
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], symbols: Optional[dict] = None):
+    def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
-        # (name, args) -> the one Symbol of that text in this parse
-        self.symbols: Dict[tuple, Symbol] = {} if symbols is None else symbols
         self.warnings: List[str] = []
         # Theory and KindDeclarations field name -> the values recorded
         self.sets: Dict[str, Set] = defaultdict(set)
@@ -170,13 +168,8 @@ class _Parser:
                 self._next()
                 parts.append(self._name().text)
             self._next("]")
-            key = (parts[0], tuple(parts[1:]))
-        else:
-            key = (self._name().text, None)
-        s = self.symbols.get(key)
-        if s is None:
-            s = self.symbols[key] = Symbol(*key)
-        return s
+            return Symbol(parts[0], tuple(parts[1:]))
+        return Symbol(self._name().text)
 
     def _args(self, count: int, head: _Token) -> List:
         self._next("(")
@@ -297,12 +290,11 @@ def parse_input(text: str) -> ParseResult:
     return _Parser(_tokenize(text)).parse()
 
 
-def _symbol_from_text(text, symbols: dict) -> Symbol:
-    """One symbol in fact-file syntax, as the JSON report writes it, interned
-    in symbols."""
+def _symbol_from_text(text) -> Symbol:
+    """One symbol in fact-file syntax, as the JSON report writes it."""
     try:
         if isinstance(text, str) and "%" not in text:  # '%' starts a comment
-            parser = _Parser(_tokenize(text), symbols)
+            parser = _Parser(_tokenize(text))
             s = parser._symbol()
             if parser._peek() is None:
                 return s
@@ -318,7 +310,7 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _json_atom(entry, symbols: dict) -> ExplanationAtom:
+def _json_atom(entry) -> ExplanationAtom:
     """One explanation object; its "status" is ignored."""
     if not (isinstance(entry, dict)
             and {"from", "to", "conditions"} <= entry.keys()):
@@ -326,9 +318,9 @@ def _json_atom(entry, symbols: dict) -> ExplanationAtom:
                          "\"conditions\", found %s" % json.dumps(entry))
     conditions = _json_list(entry["conditions"], "\"conditions\"")
     return ExplanationAtom(
-        _symbol_from_text(entry["from"], symbols),
-        _symbol_from_text(entry["to"], symbols),
-        canonical_conditions(_symbol_from_text(c, symbols)
+        _symbol_from_text(entry["from"]),
+        _symbol_from_text(entry["to"]),
+        canonical_conditions(_symbol_from_text(c)
                              for c in conditions))
 
 
@@ -336,11 +328,11 @@ def _parse_json_stage(data: dict) -> ParseResult:
     """The "explanations" (generated) and "optimal" atoms of a --format
     json report, which is otherwise ignored; ParseError when their shape or
     a symbol is malformed."""
-    stage, symbols = StageFacts(set(), set()), {}
+    stage = StageFacts(set(), set())
     for section in STAGE_SECTIONS:
         for entry in _json_list(data.get(section.key, []),
                                 "\"%s\"" % section.key):
-            getattr(stage, section.field).add(_json_atom(entry, symbols))
+            getattr(stage, section.field).add(_json_atom(entry))
     return ParseResult(theory=Theory(), stage=stage, warnings=[])
 
 

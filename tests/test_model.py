@@ -193,6 +193,21 @@ def test_equal_values_are_one_object_and_read_only():
         sym("y").extra = 1
 
 
+@pytest.mark.parametrize("value, change", [
+    (ExplanationAtom(a, b, (a,)), {"conditions": (b,)}),
+    (Clause(frozenset({Literal(a)})), {"literals": frozenset()}),
+    (ObjectOntAtom("x", "y"), {"super": "x"}),
+    (KindDeclarations(onekind=frozenset({"p"})),
+     {"allkind": frozenset({"p"})})])
+def test_replace_checks_the_invariants_the_constructor_checks(value, change):
+    with pytest.raises(ValueError):
+        value._replace(**change)
+    with pytest.raises(ValueError):
+        type(value)._make(change.get(f, v)
+                          for f, v in zip(value._fields, value))
+    assert value._replace() == value
+
+
 def test_unpickled_values_are_the_objects_of_a_fresh_process():
     # a pickle re-interns, so in a process with another hash seed the
     # unpickled atom holds that process's own symbol objects
