@@ -32,8 +32,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Theory, atom_body, ranked_atoms,
-                    symbol_universe, validate_theory)
+from .model import (ExplanationAtom, Theory, atom_body, condition_texts,
+                    ranked_atoms, symbol_universe, validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
@@ -93,7 +93,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
         result.theory = t
     symbols, _ = symbol_universe(t)
     for atom in stage_in.generated | stage_in.optimal:
-        unknown = set(atom.conditions + (atom.target,)) - symbols
+        unknown = (atom.conditions | {atom.target}) - symbols
         if unknown:
             raise ValueError(
                 "stage input %s explains %s with %s, which the theory does "
@@ -230,7 +230,7 @@ def _write(value, pad: str, out: List[str]):
 
 def _atom_json(atom: ExplanationAtom, **more) -> dict:
     return {"from": str(atom.source), "to": str(atom.target),
-            "conditions": [str(s) for s in atom.conditions], **more}
+            "conditions": condition_texts(atom), **more}
 
 
 # the indentation of a world's atoms: doc > "worlds" > world > "explanations"

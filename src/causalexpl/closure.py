@@ -3,7 +3,6 @@
 ontt   -- transitive closure of the IS-A links
 impco  -- implication induced by causal + ontological atoms, reflexive on
           symbolE and transitively closed
-impcos -- the strict (asymmetric) part of impco
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ def relation_rows(pairs: Iterable[Pair]) -> Tuple[Rows, Rows]:
 
 
 class ClosureRelations(namedtuple("ClosureRelations", (
-        "ontt", "impco", "impcos",
+        "ontt", "impco",
         "ontt_supers",      # sub -> supers
         "ontt_subs",        # super -> subs
         "impco_succ", "impco_pred"))):
@@ -71,14 +70,9 @@ def impco_closure(causal: Iterable[CausalAtom], ontology: Iterable[OntAtom],
     return frozenset(closed)
 
 
-def strict_impco(impco: PairSet) -> PairSet:
-    """Exactly the asymmetric part: (i,j) kept iff (j,i) is absent."""
-    return frozenset(p for p in impco if (p[1], p[0]) not in impco)
-
-
 def compute_closures(t: Theory) -> ClosureRelations:
     _, symbol_e = symbol_universe(t)
     impco = impco_closure(t.causal, t.ontology, symbol_e)
     ontt = ont_closure(t.ontology)
-    return ClosureRelations(ontt, impco, strict_impco(impco),
+    return ClosureRelations(ontt, impco,
                             *relation_rows(ontt), *relation_rows(impco))

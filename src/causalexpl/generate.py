@@ -1,11 +1,10 @@
 """Stage 1: derive candidate explanation atoms.
 
-Initial atoms come from the base rules over the closures (ecinit_base).
-The unguarded double-ontology relation is read off their witnesses
-(ecinit_full), and the guarded rule that seeds the fixpoint is a filter
-over it with dominance pruning (ecinit_double_ontology).  Seeds are then
-extended by the transitive condition-gathering fixpoint over the unguarded
-relation, which keeps only the subset-minimal condition sets of each
+Initial atoms come from the base rules over the closures (ecinit_base),
+and the double-ontology relation is read off their witnesses
+(ecinit_full).  One rule seeds the fixpoint from that relation
+(seed_ecsets), and the transitive condition-gathering fixpoint extends the
+seeds over it, keeping only the subset-minimal condition sets of each
 (source, target) pair (up to symbols on implication cycles).
 """
 from __future__ import annotations
@@ -14,7 +13,7 @@ from collections import defaultdict, namedtuple
 from typing import Dict, FrozenSet, Set, Tuple
 
 from .closure import ClosureRelations, compute_closures
-from .model import ExplanationAtom, Symbol, Theory, canonical_conditions
+from .model import ExplanationAtom, Symbol, Theory
 
 
 # source explains target because {source, extra}, without transitivity
@@ -48,41 +47,16 @@ def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]
 
 def ecinit_full(c: ClosureRelations, base: FrozenSet[InitialExplanation],
                 ) -> FrozenSet[InitialExplanation]:
-    """Base atoms plus the unguarded double-ontology relation.
+    """Base atoms plus the double-ontology relation.
 
     A witness is a base atom (i, e, e) with e != i: e specialises an
     effect of i and i does not imply e (impco is reflexive on causes, so
     e == i never is one).  It explains every super-concept j of e by {i, e}.
-    The gathering fixpoint composes over this relation: the guards of
-    ecinit_double_ontology are sound for seeding, but a suppressed atom may
-    be exactly the step that lets a longer path collapse onto a smaller
-    condition set.
     """
     return base | frozenset(
         InitialExplanation(w.source, j, w.extra) for w in base
         if w.extra == w.target != w.source
         for j in c.ontt_supers.get(w.extra, ()))
-
-
-def ecinit_double_ontology(full: FrozenSet[InitialExplanation],
-                           c: ClosureRelations,
-                           ) -> FrozenSet[InitialExplanation]:
-    """The guarded double-ontology rule: a filter over ecinit_full.
-
-    Keeps the atoms on the (i, j) pairs where no atom's extra is i or j
-    (every base atom's extra is its source or target, so these are the
-    pairs no base atom covers), and drops a witness with a strictly weaker
-    sibling under impcos.
-    """
-    blocked = {(a.source, a.target) for a in full
-               if a.extra in (a.source, a.target)}
-    by_pair = defaultdict(set)
-    for a in full:
-        if (a.source, a.target) not in blocked:
-            by_pair[(a.source, a.target)].add(a.extra)
-    return frozenset(InitialExplanation(i, j, e)
-                     for (i, j), extras in by_pair.items() for e in extras
-                     if not any((e, e1) in c.impcos for e1 in extras))
 
 
 def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAtom]:
@@ -93,12 +67,12 @@ def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAt
     atoms: Set[ExplanationAtom] = set()
     for (i, j), extras in by_pair.items():
         if i in extras:
-            atoms.add(ExplanationAtom(i, j, canonical_conditions((i,))))
+            atoms.add(ExplanationAtom(i, j, (i,)))
         elif j in extras:
-            atoms.add(ExplanationAtom(i, j, canonical_conditions((i, j))))
+            atoms.add(ExplanationAtom(i, j, (i, j)))
         else:
             for e in extras:
-                atoms.add(ExplanationAtom(i, j, canonical_conditions((i, e))))
+                atoms.add(ExplanationAtom(i, j, (i, e)))
     return frozenset(atoms)
 
 
@@ -136,9 +110,7 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
         kept.add(new)
         return True
 
-    delta = {(atom.source, atom.target, frozenset(atom.conditions))
-             for atom in seeds}
-    delta = {key for key in delta if add(*key)}
+    delta = {key for key in seeds if add(*key)}
     while delta:
         added = set()
         for i, k, conditions in delta:
@@ -150,7 +122,7 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
                     added.add((i, j, new))
         delta = added
 
-    return frozenset(ExplanationAtom(i, j, canonical_conditions(conds))
+    return frozenset(ExplanationAtom(i, j, conds)
                      for (i, j, _), sets in state.items()
                      for conds in sets)
 
@@ -167,11 +139,10 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
     frontier = list(atoms)
     while frontier:
         atom = frontier.pop()
-        conditions = atom.conditions
-        for n, phi in enumerate(conditions):
+        for phi in atom.conditions:
             if phi == atom.source:
                 continue
-            rest = conditions[:n] + conditions[n + 1:]  # still canonical
+            rest = atom.conditions - {phi}
             if c.impco_pred.get(phi, frozenset()).isdisjoint(rest):
                 continue
             reduced = ExplanationAtom(atom.source, atom.target, rest)
@@ -185,9 +156,7 @@ def generate(t: Theory, closures: ClosureRelations = None
              ) -> FrozenSet[ExplanationAtom]:
     """Run the full generation pipeline on a validated theory."""
     c = closures if closures is not None else compute_closures(t)
-    base = ecinit_base(t, c)
-    full = ecinit_full(c, base)
-    seeds = seed_ecsets(base | ecinit_double_ontology(full, c))
-    cyclic = frozenset(a for a, b in c.impco - c.impcos if a != b)
-    gathered = gather_transitive(seeds, full, cyclic)
+    full = ecinit_full(c, ecinit_base(t, c))
+    cyclic = frozenset(a for a, b in c.impco if a != b and (b, a) in c.impco)
+    gathered = gather_transitive(seed_ecsets(full), full, cyclic)
     return reduce_conditions(gathered, c)

@@ -3,7 +3,8 @@
 All values are immutable; a validated theory can be shared freely between
 pipeline runs.  Symbols, causal and ontological atoms and literals are
 interned, one object per value, and every other value is a tuple, so
-hashing and comparing them runs in C.
+hashing and comparing them runs in C.  A condition set is a frozenset of
+symbols, sorted by text only where it is written.
 """
 from __future__ import annotations
 
@@ -174,40 +175,22 @@ class Clause(namedtuple("Clause", "literals")):
         return self.render()
 
 
-# Condition sets are canonically ordered duplicate-free symbol tuples.
-ConditionSet = Tuple[Symbol, ...]
-
-
-class EmptyConditionSetError(ValueError):
-    pass
-
-
-def canonicalize(symbols: Iterable[Symbol]) -> ConditionSet:
-    """Sort and deduplicate; idempotent and order-insensitive."""
-    return tuple(sorted(set(symbols)))
-
-
-def canonical_conditions(symbols: Iterable[Symbol]) -> ConditionSet:
-    """Like canonicalize but rejects the empty set (explanation atoms need one)."""
-    out = canonicalize(symbols)
-    if not out:
-        raise EmptyConditionSetError("explanation atom needs a non-empty condition set")
-    return out
-
-
 class ExplanationAtom(namedtuple("ExplanationAtom",
                                  "source target conditions")):
     """source explains target because the condition set is jointly possible.
 
     A tuple of its three fields, so its hash and ``==`` run in C over the
-    interned symbols.  An atom's stage (generated, optimal, verified in a
-    world) is the collection that holds it, not a field of the atom.
+    interned symbols.  The conditions are a frozenset, whatever iterable of
+    symbols built the atom; they are sorted only where text is written.  An
+    atom's stage (generated, optimal, verified in a world) is the
+    collection that holds it, not a field of the atom.
     """
     __slots__ = ()
     _make = checked_make
 
     def __new__(cls, source: Symbol, target: Symbol,
-                conditions: ConditionSet):
+                conditions: Iterable[Symbol]):
+        conditions = frozenset(conditions)
         if source not in conditions:
             raise ValueError("explaining symbol must belong to its condition set")
         return tuple.__new__(cls, (source, target, conditions))
@@ -219,15 +202,20 @@ class ExplanationAtom(namedtuple("ExplanationAtom",
         return self.render()
 
 
+def condition_texts(atom: ExplanationAtom) -> List[str]:
+    """The texts of an atom's conditions, in the order they are written."""
+    return sorted(map(str, atom.conditions))
+
+
 def atom_body(atom: ExplanationAtom) -> str:
     """The arguments of an atom's fact-file statement: ``i,j,{a,b}``."""
     return "%s,%s,{%s}" % (atom.source, atom.target,
-                           ",".join(map(str, atom.conditions)))
+                           ",".join(condition_texts(atom)))
 
 
 def atom_sort_key(atom: ExplanationAtom) -> tuple:
     """The order every stage's atoms are emitted in: by rendered text."""
-    return (str(atom.source), str(atom.target), tuple(map(str, atom.conditions)))
+    return (str(atom.source), str(atom.target), condition_texts(atom))
 
 
 def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]

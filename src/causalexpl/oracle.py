@@ -11,7 +11,7 @@ from collections import defaultdict
 from typing import FrozenSet, Set, Tuple
 
 from .closure import PairSet, compute_closures, ont_closure, relation_rows
-from .model import ExplanationAtom, Symbol, Theory, canonical_conditions, symbol_universe
+from .model import ExplanationAtom, Symbol, Theory, symbol_universe
 
 
 class OracleBoundError(RuntimeError):
@@ -75,7 +75,7 @@ def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:
             by_target[atom[1]].add(atom)
         frontier = new
 
-    return frozenset(ExplanationAtom(a, b, canonical_conditions(phi))
+    return frozenset(ExplanationAtom(a, b, phi)
                      for a, b, phi in derived)
 
 
@@ -92,7 +92,7 @@ def optimal_subset(atoms: FrozenSet[ExplanationAtom], impco: PairSet
 
     kept = set()
     for group in groups.values():
-        sets = [set(atom.conditions) for atom in group]
+        sets = [atom.conditions for atom in group]
         minimal = [atom for atom, mine in zip(group, sets)
                    if not any(other < mine for other in sets)]
 
@@ -103,7 +103,7 @@ def optimal_subset(atoms: FrozenSet[ExplanationAtom], impco: PairSet
                            for e2 in dst - src)
             return implies(phi, psi) and not implies(psi, phi)
 
-        min_sets = [set(atom.conditions) for atom in minimal]
+        min_sets = [atom.conditions for atom in minimal]
         for atom, mine in zip(minimal, min_sets):
             if not any(other != mine and one_way_stronger(mine, other)
                        for other in min_sets):

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set
 
 from .lifting import KindDeclarations, ObjectOntAtom
 from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
-                    Symbol, Theory, canonical_conditions)
+                    Symbol, Theory)
 
 
 # A unit statement adds make(*arguments) to the Theory or KindDeclarations
@@ -236,7 +236,7 @@ class _Parser:
         self._next("}")
         self._next(")")
         try:
-            return ExplanationAtom(i, j, canonical_conditions(members))
+            return ExplanationAtom(i, j, members)
         except ValueError as exc:
             raise ParseError(str(exc), head.line)
 
@@ -320,8 +320,7 @@ def _json_atom(entry) -> ExplanationAtom:
     return ExplanationAtom(
         _symbol_from_text(entry["from"]),
         _symbol_from_text(entry["to"]),
-        canonical_conditions(_symbol_from_text(c)
-                             for c in conditions))
+        map(_symbol_from_text, conditions))
 
 
 def _parse_json_stage(data: dict) -> ParseResult:

@@ -99,5 +99,6 @@ def random_theory(rng: random.Random, max_symbols: int = 8,
 
 
 def atom_keys(atoms):
-    """Canonical comparable form of a set of explanation atoms."""
-    return {tuple(a) for a in atoms}
+    """The atoms as (source, target, sorted conditions) tuples, comparable
+    with tuples written out by hand."""
+    return {(a.source, a.target, tuple(sorted(a.conditions))) for a in atoms}

@@ -58,8 +58,8 @@ def test_criterion_1_diagram_reproduction(announce, diagram):
         c = compute_closures(diagram)
         result = optimize(generate(diagram), c)
         elapsed = time.monotonic() - start
-        group = {a.conditions for a in result
-                 if (a.source, a.target) == (sym("alpha"), sym("delta"))}
+        group = {cs for s, t, cs in atom_keys(result)
+                 if (s, t) == (sym("alpha"), sym("delta"))}
         assert group == FOUR_OPTIMAL
         assert elapsed < 5.0
     _criterion(announce, 1, "diagram optimal-path reproduction", body)
@@ -69,8 +69,8 @@ def test_criterion_2_pruning_example(announce, pruning_mini):
     def body():
         c = compute_closures(pruning_mini)
         result = optimize(generate(pruning_mini), c)
-        group = {a.conditions for a in result
-                 if (a.source, a.target) == (sym("alpha"), sym("gamma"))}
+        group = {cs for s, t, cs in atom_keys(result)
+                 if (s, t) == (sym("alpha"), sym("gamma"))}
         assert group == {_conds("alpha", "beta1")}
     _criterion(announce, 2, "redundant-explanation pruning", body)
 
@@ -174,8 +174,8 @@ def test_criterion_7_verification_semantics(announce, diagram):
         worlds = enumerate_worlds(t)
         assert len(worlds) == 1
         kept = verify(optimal, worlds[0])
-        conds = {a.conditions for a in kept
-                 if (a.source, a.target) == (sym("alpha"), sym("delta"))}
+        conds = {cs for s, t, cs in atom_keys(kept)
+                 if (s, t) == (sym("alpha"), sym("delta"))}
         assert conds == FOUR_OPTIMAL - {_conds("alpha", "gamma1")}
         # in one world every brave atom (a key) is cautious (holds in it)
         verdicts = brave_cautious({1: kept}, 1)

@@ -355,9 +355,10 @@ def test_merge_keeps_kind_declarations_of_every_file(capsys, tmp_path):
     '{"optimal":[{"from":"a"}]}',
     '{"explanations":"x"}',
     '{"explanations":[{"from":"[","to":"b","conditions":["["]}]}',
+    '{"explanations":[{"from":"alpha","to":"beta","conditions":[]}]}',
     '{"worlds":' + "[" * 100000,
 ], ids=["missing-key", "optimal-missing-key", "not-a-list", "bad-symbol",
-        "deeply-nested"])
+        "empty-conditions", "deeply-nested"])
 def test_malformed_json_stage_input_exit_1(capsys, tmp_path, diagram_file,
                                            doc):
     report = tmp_path / "stage.json"

@@ -1,11 +1,10 @@
-"""Closure relations: transitive IS-A, implication closure, strict part."""
+"""Closure relations: transitive IS-A and the implication closure."""
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalexpl.closure import (compute_closures, impco_closure, ont_closure,
-                                strict_impco)
+from causalexpl.closure import compute_closures, impco_closure, ont_closure
 from causalexpl.model import CausalAtom, OntAtom, Symbol, Theory, sym, symbol_universe
 from conftest import random_theory
 
@@ -52,14 +51,6 @@ def test_impco_reflexive_on_symbol_e(diagram):
         assert (s, s) in c.impco
 
 
-def test_strict_part_excludes_reflexive_and_symmetric_pairs():
-    a, b = sym("a"), sym("b")
-    impco = frozenset([(a, a), (b, b), (a, b), (b, a)])
-    assert strict_impco(impco) == frozenset()
-    impco2 = frozenset([(a, a), (a, b)])
-    assert strict_impco(impco2) == frozenset([(a, b)])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_closures_match_bfs_reachability(seed):
@@ -76,7 +67,7 @@ def test_closures_match_bfs_reachability(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_impco_transitive_and_strict_asymmetric(seed):
+def test_impco_transitive(seed):
     t = random_theory(random.Random(seed), acyclic=False)
     c = compute_closures(t)
     succ = {}
@@ -85,7 +76,6 @@ def test_impco_transitive_and_strict_asymmetric(seed):
     for i, js in succ.items():
         for j in js:
             assert succ.get(j, set()) <= js, "impco not transitive"
-    assert not any((j, i) in c.impcos for i, j in c.impcos)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalexpl.closure import compute_closures
-from causalexpl.generate import (InitialExplanation, ecinit_base,
-                                 ecinit_double_ontology, ecinit_full,
+from causalexpl.generate import (InitialExplanation, ecinit_base, ecinit_full,
                                  gather_transitive, generate, reduce_conditions,
                                  seed_ecsets)
 from causalexpl.model import CausalAtom, OntAtom, Theory, sym
@@ -38,37 +37,33 @@ def test_initial_rules_on_diagram(diagram):
     assert InitialExplanation(sym("beta2"), sym("gamma1"), sym("beta2")) not in base
 
 
+def _optimal_sets(t, source, target):
+    c = compute_closures(t)
+    return {cs for s, t, cs in atom_keys(optimize(generate(t, c), c))
+            if (s, t) == (sym(source), sym(target))}
+
+
 def test_double_ontology_candidates_on_diagram(diagram):
-    c = compute_closures(diagram)
-    base = ecinit_base(diagram, c)
-    double = ecinit_double_ontology(ecinit_full(c, base), c)
-    assert InitialExplanation(sym("beta2"), sym("gamma3"), sym("gamma2")) in double
-    e3 = sym("epsilon3")
-    witnesses = {init.extra for init in double
-                 if (init.source, init.target) == (sym("beta3"), e3)}
-    assert witnesses == {sym("epsilon1"), sym("epsilon2")}
+    assert _optimal_sets(diagram, "beta2", "gamma3") == {
+        _conds("beta2", "gamma2")}
+    assert _optimal_sets(diagram, "beta3", "epsilon3") == {
+        _conds("beta3", "epsilon1"), _conds("beta3", "epsilon2")}
 
 
 def test_double_ontology_dominance_pruning():
     # e1 IS-A e2, both specialise the effect's sub-concepts: only the
-    # weaker witness e2 survives for the (i, j) pair reached through both.
+    # weaker witness e2 is optimal for the (i, j) pair reached through both.
     t = Theory(causal=frozenset([CausalAtom(sym("i"), sym("x"))]),
                ontology=frozenset([OntAtom(sym("e1"), sym("x")),
                                    OntAtom(sym("e2"), sym("x")),
                                    OntAtom(sym("e1"), sym("e2")),
                                    OntAtom(sym("e1"), sym("j")),
                                    OntAtom(sym("e2"), sym("j"))]))
-    c = compute_closures(t)
-    base = ecinit_base(t, c)
-    double = ecinit_double_ontology(ecinit_full(c, base), c)
-    extras = {init.extra for init in double
-              if (init.source, init.target) == (sym("i"), sym("j"))}
-    assert extras == {sym("e2")}
+    assert _optimal_sets(t, "i", "j") == {_conds("e2", "i")}
 
 
 def _parent_initial_rules(t, c):
-    """The rules as first written: three walks over cause x sub x super,
-    and a guarded double-ontology rule that rebuilds its witnesses."""
+    """The rules as first written: three walks over cause x sub x super."""
     base = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
@@ -81,31 +76,20 @@ def _parent_initial_rules(t, c):
             if (i, e) in c.impco:
                 for j in c.ontt_supers.get(e, ()):
                     base.add(InitialExplanation(i, j, i))
-    blocked = {(a.source, a.target) for a in base
-               if a.extra in (a.source, a.target)}
-    witnesses = {(a.source, a.target) for a in base if a.extra == a.target}
-    candidates, full = set(), set(base)
+    full = set(base)
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         for e in c.ontt_subs.get(x, ()):
-            for j in c.ontt_supers.get(e, ()):
-                if (i, e) in witnesses and (i, j) not in blocked:
-                    candidates.add(InitialExplanation(i, j, e))
-                if (i, e) not in c.impco:
-                    full.add(InitialExplanation(i, j, e))
-    double = {a for a in candidates
-              if not any((a.extra, b.extra) in c.impcos for b in candidates
-                         if (b.source, b.target) == (a.source, a.target)
-                         and b.extra != a.extra)}
-    return base, double, full
+            if (i, e) not in c.impco:
+                full.update(InitialExplanation(i, j, e)
+                            for j in c.ontt_supers.get(e, ()))
+    return base, full
 
 
 def _assert_initial_rules_match_parent(t):
     c = compute_closures(t)
     base = ecinit_base(t, c)
-    full = ecinit_full(c, base)
-    assert (base, ecinit_double_ontology(full, c), full) == \
-        _parent_initial_rules(t, c)
+    assert (base, ecinit_full(c, base)) == _parent_initial_rules(t, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,14 +208,13 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
     from causalexpl.optimize import optimize
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
-    base = ecinit_base(t, c)
-    inits = ecinit_full(c, base)
-    seeds = seed_ecsets(base | ecinit_double_ontology(inits, c))
+    inits = ecinit_full(c, ecinit_base(t, c))
+    seeds = seed_ecsets(inits)
     guarded = reduce_conditions(gather_transitive(seeds, inits), c)
 
     # Unguarded variant: saturate unions without the not-ecSet suppression.
     state = {tuple(a) for a in seeds}
-    from causalexpl.model import ExplanationAtom, canonical_conditions
+    from causalexpl.model import ExplanationAtom
     from collections import defaultdict
     inits_from = defaultdict(list)
     for init in inits:
@@ -241,7 +224,7 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
         changed = False
         for (i, k, conds) in list(state):
             for j, e2 in inits_from.get(k, ()):
-                new = conds if e2 == k else canonical_conditions(set(conds) | {e2})
+                new = conds if e2 == k else conds | {e2}
                 key = (i, j, new)
                 if key not in state:
                     state.add(key)
@@ -258,13 +241,11 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
 def test_gathered_sets_form_an_antichain(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
-    base = ecinit_base(t, c)
-    full = ecinit_full(c, base)
-    seeds = seed_ecsets(base | ecinit_double_ontology(full, c))
+    full = ecinit_full(c, ecinit_base(t, c))
     groups = {}
-    for atom in gather_transitive(seeds, full):
+    for atom in gather_transitive(seed_ecsets(full), full):
         groups.setdefault((atom.source, atom.target), []).append(
-            set(atom.conditions))
+            atom.conditions)
     for sets in groups.values():
         for x in sets:
             assert not any(y < x for y in sets)

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalexpl.model import (CausalAtom, Clause, EmptyConditionSetError,
-                              ExplanationAtom, Literal, OntAtom, Symbol,
-                              Theory, canonical_conditions, canonicalize, sym,
-                              symbol_universe, validate_theory)
+from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
+                              OntAtom, Symbol, Theory, sym, symbol_universe,
+                              validate_theory)
 from causalexpl.lifting import KindDeclarations, ObjectOntAtom, lift
 from causalexpl.parser import parse_input
 
@@ -37,23 +36,24 @@ def test_symbol_total_order_is_lexicographic_on_rendered_form():
     assert [str(s) for s in sorted(items)] == sorted(str(s) for s in items)
 
 
-def test_canonicalize_examples():
-    assert canonicalize([d, a, a]) == (a, d)
-    assert canonicalize([a]) == (a,)
-    g1, b3 = sym("gamma1"), sym("beta3")
-    assert canonicalize([g1, a, b3]) == (a, b3, g1)
-
-
-@given(st.lists(st.sampled_from([a, b, g, d])))
-def test_canonicalize_idempotent_and_order_insensitive(symbols):
-    once = canonicalize(symbols)
-    assert canonicalize(once) == once
-    assert canonicalize(reversed(symbols)) == once
+@given(st.lists(st.sampled_from([b, g, d])))
+def test_conditions_are_a_frozenset_of_any_iterable(others):
+    members = [a] + others + [a]
+    atoms = {ExplanationAtom(a, d, members),
+             ExplanationAtom(a, d, tuple(reversed(members))),
+             ExplanationAtom(a, d, (s for s in members)),
+             ExplanationAtom(a, d, frozenset(members))}
+    assert len(atoms) == 1
+    (atom,) = atoms
+    assert atom.conditions == frozenset(members)
+    assert type(atom.conditions) is frozenset
+    with pytest.raises(ValueError):
+        ExplanationAtom(a, d, others)
 
 
 def test_empty_condition_set_rejected():
-    with pytest.raises(EmptyConditionSetError):
-        canonical_conditions([])
+    with pytest.raises(ValueError):
+        ExplanationAtom(a, d, [])
 
 
 def test_explanation_atom_requires_source_membership():
@@ -153,7 +153,8 @@ def test_symbols_and_atoms_of_every_route_agree():
         assert atom == atoms[0] and hash(atom) == hash(atoms[0])
         assert str(atom) == "ecSet(y,[at,x],{y})"
         assert atom.target is sym("at", "x")
-        assert atom.source is atom.conditions[0] is sym("y")
+        assert atom.source is sym("y")
+        assert [*atom.conditions] == [atom.source]
         assert str(atom.target) == atom.target.render() == "[at,x]"
     assert len(set(atoms)) == 1
 
@@ -180,7 +181,8 @@ def test_equal_values_are_one_object_and_read_only():
     assert repr(Literal(a, False)) == (
         "Literal(atom=Symbol(name='alpha', args=None), positive=False)")
     assert repr(ExplanationAtom(a, b, (a,))) == (
-        "ExplanationAtom(source=%r, target=%r, conditions=(%r,))" % (a, b, a))
+        "ExplanationAtom(source=%r, target=%r, conditions=frozenset({%r}))"
+        % (a, b, a))
     for value, field in [(sym("at", "x"), "name"), (sym("y"), "_text"),
                          (CausalAtom(a, b), "cause"), (OntAtom(a, b), "sub"),
                          (Literal(a), "positive"),
@@ -214,7 +216,8 @@ def test_unpickled_values_are_the_objects_of_a_fresh_process():
     atom = ExplanationAtom(sym("at", "x"), b, (sym("at", "x"),))
     code = ("import pickle, sys; from causalexpl.model import sym; "
             "atom = pickle.loads(sys.stdin.buffer.read()); "
-            "assert atom.source is atom.conditions[0] is sym('at', 'x'); "
+            "assert atom.source is sym('at', 'x'); "
+            "assert atom.conditions == {atom.source}; "
             "assert atom.target is sym('beta'); "
             "assert hash(atom) == hash(tuple(atom)); "
             "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1")

@@ -83,16 +83,16 @@ def test_mutual_domination_keeps_both():
 def test_pruning_mini_theory_keeps_weaker_explanation(pruning_mini):
     c = compute_closures(pruning_mini)
     result = optimize(generate(pruning_mini), c)
-    group = {a.conditions for a in result
-             if (a.source, a.target) == (sym("alpha"), sym("gamma"))}
+    group = {cs for s, t, cs in atom_keys(result)
+             if (s, t) == (sym("alpha"), sym("gamma"))}
     assert group == {_conds("alpha", "beta1")}
 
 
 def test_diagram_optimal_sets(diagram):
     c = compute_closures(diagram)
     result = optimize(generate(diagram), c)
-    group = {a.conditions for a in result
-             if (a.source, a.target) == (sym("alpha"), sym("delta"))}
+    group = {cs for s, t, cs in atom_keys(result)
+             if (s, t) == (sym("alpha"), sym("delta"))}
     assert group == {_conds("alpha", "gamma1"), _conds("alpha", "gamma2"),
                      _conds("alpha", "beta3", "epsilon1"),
                      _conds("alpha", "beta3", "epsilon2")}

@@ -43,8 +43,8 @@ def test_diagram_derivation_contains_documented_path(diagram):
 def test_diagram_oracle_optimal_matches_figure(diagram):
     c = compute_closures(diagram)
     result = optimal_subset(derive_all(diagram, max_symbols=20), c.impco)
-    group = {a.conditions for a in result
-             if (a.source, a.target) == (sym("alpha"), sym("delta"))}
+    group = {cs for s, t, cs in atom_keys(result)
+             if (s, t) == (sym("alpha"), sym("delta"))}
     assert group == {_conds("alpha", "gamma1"), _conds("alpha", "gamma2"),
                      _conds("alpha", "beta3", "epsilon1"),
                      _conds("alpha", "beta3", "epsilon2")}
@@ -53,8 +53,8 @@ def test_diagram_oracle_optimal_matches_figure(diagram):
 def test_pruning_mini_oracle(pruning_mini):
     c = compute_closures(pruning_mini)
     result = optimal_subset(derive_all(pruning_mini), c.impco)
-    group = {a.conditions for a in result
-             if (a.source, a.target) == (sym("alpha"), sym("gamma"))}
+    group = {cs for s, t, cs in atom_keys(result)
+             if (s, t) == (sym("alpha"), sym("gamma"))}
     assert group == {_conds("alpha", "beta1")}
 
 
@@ -101,6 +101,17 @@ def test_generation_sound_and_optimal_complete_vs_oracle(seed):
     for i, j, conds in derivable:
         assert any(covered_by(set(conds), psi)
                    for psi in by_pair.get((i, j), []))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_generation_sound_vs_oracle_on_cyclic_theories(seed):
+    """The soundness half on cyclic theories: the pipeline may lack oracle
+    atoms there (the strict xfail), but emits none the oracle lacks.  At
+    eight symbols one cyclic saturation can take seconds; seven bound it
+    near one."""
+    t = random_theory(random.Random(seed), max_symbols=7, acyclic=False)
+    assert atom_keys(generate(t)) <= atom_keys(derive_all(t))
 
 
 @settings(max_examples=100, deadline=None)

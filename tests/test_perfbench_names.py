@@ -6,6 +6,11 @@ type leaves a span's count unset, which would pass unnoticed too.  The name
 check reads the WRAPPED table only, and the traced run is a subprocess:
 installing the tracer would patch the package's modules for every later
 test.
+
+DELETED names the functions the package removed on purpose while the
+benchmark still wraps them: the tracer lists exactly these as absent, and
+any other missing name fails.  The next change to the benchmark drops them
+from WRAPPED and empties this set.
 """
 import importlib
 import importlib.util
@@ -19,6 +24,9 @@ import causalexpl
 from conftest import FIG_TEXT
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# the guarded double-ontology seed; generate seeds from ecinit_full alone
+DELETED = {"generate.ecinit_double_ontology"}
 
 
 def _tracing_module():
@@ -37,9 +45,9 @@ def _resolves(layer, name):
 
 def test_every_traced_name_exists():
     tracing = _tracing_module()
-    missing = ["%s.%s" % key for key in tracing.WRAPPED
-               if not _resolves(*key)]
-    assert tracing.WRAPPED and missing == []
+    missing = {"%s.%s" % key for key in tracing.WRAPPED
+               if not _resolves(*key)}
+    assert tracing.WRAPPED and missing == DELETED
 
 
 def test_every_traced_count_is_set(tmp_path):
@@ -56,7 +64,7 @@ def test_every_traced_count_is_set(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(result.read_text())
-    assert trace["exit"] == 0 and trace["absent"] == []
+    assert trace["exit"] == 0 and set(trace["absent"]) == DELETED
     counted = {"%s.%s" % key for key, count in _tracing_module().WRAPPED.items()
                if count is not None}
     unset = sorted({span[0] for span in trace["spans"]

@@ -25,7 +25,7 @@ STAGES = ("gen", "opt", "verify", "all")
 
 def _atom_doc(atom, status):
     return {"from": str(atom.source), "to": str(atom.target),
-            "conditions": [str(s) for s in atom.conditions],
+            "conditions": sorted(str(s) for s in atom.conditions),
             "status": status}
 
 
@@ -48,7 +48,7 @@ def reference_doc(result, config):
             for w in result.worlds]
         doc["verdicts"] = [
             {"from": str(a.source), "to": str(a.target),
-             "conditions": [str(s) for s in a.conditions],
+             "conditions": sorted(str(s) for s in a.conditions),
              "brave": True,
              "cautious": len(result.verdicts[a]) == len(result.worlds),
              "worlds": sorted(result.verdicts[a])}
@@ -58,7 +58,7 @@ def reference_doc(result, config):
 
 def _body(source, target, conditions):
     return "%s,%s,{%s}" % (source, target,
-                           ",".join(str(s) for s in conditions))
+                           ",".join(sorted(str(s) for s in conditions)))
 
 
 def reference_text(result, config):
