@@ -16,7 +16,8 @@ A verdict is the set of worlds that verify its atom: every atom verified in
 some world is brave, and cautious too when that set holds every world.  Both
 report writers sort the reported atoms once (model.ranked_atoms); each stage
 section, world and verdict lists positions in that one order, and text
-output formats each atom's body once.
+output formats each atom's body once, JSON output its "from", "to" and
+"conditions".  The report is written to its stream in slices.
 
 Exit codes: 0 success, 1 input error (an unwritable --out too), 2 world
 overflow, 3 internal error.
@@ -24,6 +25,7 @@ overflow, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
@@ -136,19 +138,29 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                               inclusive_disjunction=config.inclusive_disjunction,
                               closures=closures)
     result.worlds = worlds
-    # generate + optimize run once per distinct causal set, not per world;
-    # the closures of a set no world holds are dropped now, and those of
-    # the others once their optimal atoms exist
+    # generate + optimize run once per distinct causal set, not per world,
+    # and verify once per distinct (causal set, false symbols) pair; worlds
+    # with equal verified sets hold one.  The closures of a set no world
+    # holds are dropped now, and those of the others once their optimal
+    # atoms exist
     optimal_by_causal = {base: result.optimal}
+    verified_by_pair, verified_sets = {}, {}
     for causal in (closures.keys() - {w.causal for w in worlds}) | {base}:
         closures.pop(causal, None)
     for world in worlds:
-        atoms = optimal_by_causal.get(world.causal)
-        if atoms is None:
-            c = closures.pop(world.causal)
-            atoms = optimize(generate(t.with_causal(world.causal), c), c)
-            optimal_by_causal[world.causal] = atoms
-        result.verified[world.index] = verify(atoms, world)
+        pair = (world.causal, frozenset(
+            s for s, value in world.truth.items() if not value))
+        verified = verified_by_pair.get(pair)
+        if verified is None:
+            atoms = optimal_by_causal.get(world.causal)
+            if atoms is None:
+                c = closures.pop(world.causal)
+                atoms = optimize(generate(t.with_causal(world.causal), c), c)
+                optimal_by_causal[world.causal] = atoms
+            verified = verify(atoms, world)
+            verified = verified_by_pair[pair] = verified_sets.setdefault(
+                verified, verified)
+        result.verified[world.index] = verified
     result.verdicts = brave_cautious(result.verified, len(worlds))
     return result
 
@@ -186,86 +198,106 @@ def render_text(result: RunResult, config: RunConfig) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _Raw(str):
-    """JSON text already written, spliced in as it is."""
+@functools.lru_cache(maxsize=None)
+def _brackets(pad: str) -> Tuple[str, str, str]:
+    """The opening, separating and closing text of a JSON list at pad."""
+    return "[\n" + pad + "  ", ",\n" + pad + "  ", "\n" + pad + "]"
 
 
-def _json(value, pad: str = "") -> str:
-    """value as json.dumps(value, indent=2) writes it, its inner lines
-    indented by pad; a _Raw string is written as it is."""
-    out: List[str] = []
-    _write(value, pad, out)
-    return "".join(out)
-
-
-def _write(value, pad: str, out: List[str]):
-    """Append the text of _json(value, pad) to out, in chunks: a string
-    value is appended as it is, not copied."""
-    if isinstance(value, str):
-        out.append(value if isinstance(value, _Raw) else _quote(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
+def _items(items, pad: str, out: List[str], write=list.append):
+    """Append the JSON list at pad of items, as json.dumps(indent=2) writes
+    it: each item is appended to out by write(out, item), its inner lines
+    indented by pad + 2; by default an item is its text, already written."""
+    start = len(out)
+    opening, comma, closing = _brackets(pad)
+    for item in items:
+        out.append(comma)
+        write(out, item)
+    if len(out) == start:
+        out.append("[]")
     else:
-        inner = pad + "  "
-        sep, comma = "\n" + inner, ",\n" + inner
-        if isinstance(value, dict):
-            out.append("{")
-            for k, v in value.items():
-                out += (sep, _quote(k), ": ")
-                _write(v, inner, out)
-                sep = comma
-            out.append("\n" + pad + "}")
-        else:
-            out.append("[")
-            for v in value:
-                out.append(sep)
-                _write(v, inner, out)
-                sep = comma
-            out.append("\n" + pad + "]")
+        out[start] = opening
+        out.append(closing)
 
 
-def _atom_json(atom: ExplanationAtom, **more) -> dict:
-    return {"from": str(atom.source), "to": str(atom.target),
-            "conditions": condition_texts(atom), **more}
+# json.dumps(doc, indent=2) writes the objects of a stage section, of
+# "worlds" and of "verdicts" at depth 2 (doc > list > object), their keys
+# at depth 3, and a world's facts and atoms and a verdict's world indices at
+# depth 4
+_OBJECT, _KEY = " " * 4, " " * 6
+_KEY_LINE, _CLOSE = ",\n" + _KEY, "\n" + _OBJECT + "}"
 
 
-# the indentation of a world's atoms: doc > "worlds" > world > "explanations"
-_WORLD_ATOM_PAD = " " * 8
+def _atom_head(atom: ExplanationAtom) -> str:
+    """An atom's object at depth 2 up to its "conditions"; the keys of the
+    place it is written in and the closing brace follow."""
+    out = ['{\n%s"from": %s%s"to": %s%s"conditions": ' % (
+        _KEY, _quote(str(atom.source)), _KEY_LINE, _quote(str(atom.target)),
+        _KEY_LINE)]
+    _items(map(_quote, condition_texts(atom)), _KEY, out)
+    return "".join(out)
 
 
 def render_json(result: RunResult, config: RunConfig) -> str:
-    """The report json.dumps(doc, indent=2) would write; a verified atom's
-    block is written once and spliced into every world that verifies it."""
+    """The report json.dumps(doc, indent=2) would write, appended to one
+    list of chunks and joined once.  Each reported atom's "from", "to" and
+    "conditions" are written once, as its head; a verified atom's block, a
+    fact's text and a world's index are written once and spliced into
+    every world or verdict that lists them."""
     sections, verifies, order, ranks = _ranked(result, config)
-    doc: dict = {"stage": config.stage}
+    heads = [_atom_head(atom) for atom in order]
+    out = ['{\n  "stage": ', _quote(config.stage)]
     if result.warnings:
-        doc["warnings"] = list(result.warnings)
+        out.append(',\n  "warnings": ')
+        _items(map(_quote, result.warnings), "  ", out)
     for section in sections:
-        doc[section.key] = [_atom_json(order[r], status=section.status)
-                            for r in ranks[section.field]]
+        tail = '%s"status": %s%s' % (_KEY_LINE, _quote(section.status),
+                                     _CLOSE)
+        out += (",\n  ", _quote(section.key), ": ")
+        _items(ranks[section.field], "  ", out,
+               lambda out, r: out.extend((heads[r], tail)))
     if verifies:
-        blocks = {r: _Raw(_json(_atom_json(order[r], status="verified"),
-                                _WORLD_ATOM_PAD))
-                  for r in ranks["verdicts"]}
-        doc["worlds"] = [
-            {"index": w.index,
-             "facts": list(w.facts()),
-             "explanations": [blocks[r] for r in ranks.get(w.index, ())]}
-            for w in result.worlds]
-        doc["verdicts"] = [
-            _atom_json(atom, brave=True,
-                       cautious=len(worlds) == len(result.worlds),
-                       worlds=sorted(worlds))
-            for atom, worlds in ((order[r], result.verdicts[order[r]])
-                                 for r in ranks["verdicts"])]
-    out: List[str] = []
-    _write(doc, "", out)
-    out.append("\n")
+        _write_worlds(result, order, ranks, heads, out)
+    out.append("\n}\n")
     return "".join(out)
+
+
+def _write_worlds(result: RunResult, order: List[ExplanationAtom],
+                  ranks: dict, heads: List[str], out: List[str]):
+    """Append the "worlds" and "verdicts" keys of render_json's report."""
+    # a verified atom's block is its head moved in by two levels (a quoted
+    # text holds no line break)
+    tail = '%s"status": "verified"%s' % (_KEY_LINE, _CLOSE)
+    blocks = {r: (heads[r] + tail).replace("\n", "\n    ")
+              for r in ranks["verdicts"]}
+    quoted = {lit: _quote(lit.render())
+              for lit in frozenset().union(*(w.chosen for w in result.worlds))}
+    indices = {w.index: int.__repr__(w.index) for w in result.worlds}
+    index, facts, explanations = (
+        '{\n%s"index": ' % _KEY, '%s"facts": ' % _KEY_LINE,
+        '%s"explanations": ' % _KEY_LINE)
+
+    def world(out, w):
+        out += (index, indices[w.index], facts)
+        _items(map(quoted.__getitem__, sorted(w.chosen, key=str)), _KEY, out)
+        out.append(explanations)
+        _items(map(blocks.__getitem__, ranks.get(w.index, ())), _KEY, out)
+        out.append(_CLOSE)
+
+    cautious = {flag: '%s"brave": true%s"cautious": %s%s"worlds": ' % (
+        _KEY_LINE, _KEY_LINE, "true" if flag else "false", _KEY_LINE)
+        for flag in (False, True)}
+
+    def verdict(out, r):
+        worlds = result.verdicts[order[r]]
+        out += (heads[r], cautious[len(worlds) == len(result.worlds)])
+        _items(map(indices.__getitem__, sorted(worlds)), _KEY, out)
+        out.append(_CLOSE)
+
+    out.append(',\n  "worlds": ')
+    _items(result.worlds, "  ", out, world)
+    out.append(',\n  "verdicts": ')
+    _items(ranks["verdicts"], "  ", out, verdict)
 
 
 # -- entry point ---------------------------------------------------------------
@@ -309,6 +341,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+# characters handed to a text stream per write, so that it never encodes a
+# whole report into one second copy
+_SLICE = 64 * 1024
+
+
+def _write_slices(text: str, stream):
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start:start + _SLICE])
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.max_worlds < 1:
@@ -342,9 +384,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                    else render_text(result, config))
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(out)
+                _write_slices(out, fh)
         else:
-            sys.stdout.write(out)
+            _write_slices(out, sys.stdout)
     except WorldOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW

@@ -55,11 +55,18 @@ class _Group:
         return ((1 << len(self.atoms)) - 1) & ~outside
 
 
-def _groups(atoms: Iterable[ExplanationAtom]) -> Iterator[_Group]:
+def _pairs(atoms: Iterable[ExplanationAtom]
+           ) -> Iterable[List[ExplanationAtom]]:
+    """The atoms of each (source, target) group."""
     groups = defaultdict(list)
     for atom in atoms:
         groups[(atom.source, atom.target)].append(atom)
-    return map(_Group, groups.values())
+    return groups.values()
+
+
+def _groups(atoms: Iterable[ExplanationAtom]) -> Iterator[_Group]:
+    """Every (source, target) group, interned."""
+    return map(_Group, _pairs(atoms))
 
 
 def prune_supersets(g: _Group) -> int:
@@ -105,9 +112,15 @@ def entailment_subsumption(g: _Group, candidates: int, succ: Rows) -> int:
 
 def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
              ) -> FrozenSet[ExplanationAtom]:
-    """Both prunings, one interned group per (source, target); never
-    invents atoms."""
-    return frozenset(
-        g.atoms[n] for g in _groups(atoms)
-        for n in _bits(entailment_subsumption(g, prune_supersets(g),
-                                              c.impco_succ)))
+    """Both prunings, one interned group per (source, target) with two or
+    more atoms; a lone atom has no sibling to prune against and is kept.
+    Never invents atoms."""
+    kept: List[ExplanationAtom] = []
+    for group in _pairs(atoms):
+        if len(group) == 1:
+            kept += group
+            continue
+        g = _Group(group)
+        kept += (g.atoms[n] for n in _bits(entailment_subsumption(
+            g, prune_supersets(g), c.impco_succ)))
+    return frozenset(kept)

@@ -90,7 +90,7 @@ def _clause_violated(clause: Clause, truth: Mapping[Symbol, bool],
 
 def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
                         closures: dict):
-    """Yield (chosen groups, assignment, causal set) for every choice of one
+    """Yield (option indices, assignment, causal set) for every choice of one
     option per axis that, with t's facts and their consequences along impco,
     assigns no atom both values.
 
@@ -104,8 +104,9 @@ def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
     entries that depth added are propagated, so a branch dies at its first
     propagated clash.  Each depth undoes its option, and the propagation
     after it, by popping the assignment back to the size it had before.
-    The assignment maps every chosen and propagated atom to its value; it is
-    shared between yields, so read it before resuming the walk.
+    The yielded causal set is the closures key for that set, one object per
+    set.  The assignment maps every chosen and propagated atom to its value;
+    it is shared between yields, so read it before resuming the walk.
     """
     assignment: dict = {}
     if not _assign_literals(assignment, t.facts):
@@ -114,6 +115,7 @@ def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
     fixed = max((i + 1 for i, axis in enumerate(axes) for option in axis
                  for lit in option if isinstance(lit.atom, CausalAtom)),
                 default=0)
+    keys = {causal: causal for causal in closures}
     marks = [0] * n     # assignment size before each depth's option
     tried = [0] * n     # options tried per depth
     depth, arrived = 0, True
@@ -124,6 +126,7 @@ def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
                 causal = frozenset(ca for ca in t.causal.union(
                     a for a in assignment if isinstance(a, CausalAtom))
                     if assignment.get(ca, True))
+                causal = keys.setdefault(causal, causal)
                 c = closures.get(causal)
                 if c is None:
                     c = closures[causal] = compute_closures(
@@ -134,8 +137,7 @@ def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
                 depth -= 1
                 continue
             if depth == n:
-                yield ([axes[i][tried[i] - 1] for i in range(n)], assignment,
-                       causal)
+                yield [tried[i] - 1 for i in range(n)], assignment, causal
                 depth -= 1
                 continue
             marks[depth] = len(assignment)
@@ -156,12 +158,20 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
                      closures: Optional[dict] = None) -> Tuple[World, ...]:
     """All consistent worlds, indexed from 1 in canonical choice order.
 
+    The canonical axes are the disjunctive facts, then the completions, each
+    sorted by text.  The walk (_consistent_choices) takes the axes that hold
+    a causal literal first, so that it fixes the causal set early and
+    propagates truth from there on; the surviving worlds are then sorted by
+    their option on each canonical axis and numbered in that order, which
+    is itertools.product order over the canonical axes.
+
     closures maps a causal set to the ClosureRelations of t with that causal
     set.  Entries already present are used; a missing one is built once, for
     the caller to reuse, when a branch first reaches without a clash the
-    depth after which no axis can change its causal set; truth is propagated
-    at every depth from there on (_consistent_choices).  Raises
-    WorldOverflowError as soon as more than max_worlds worlds survive.
+    depth after which no axis can change its causal set.  Worlds on one
+    causal set hold its closures key, and worlds with equal truth hold one
+    dict.  Raises WorldOverflowError as soon as more than max_worlds worlds
+    survive.
     """
     if closures is None:
         closures = {}
@@ -170,9 +180,16 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         axes.append(_literal_options(clause, inclusive_disjunction))
     for atom in sorted(t.completions, key=str):
         axes.append([(Literal(atom, True),), (Literal(atom, False),)])
+    # the walk order: axes holding a causal literal first, each part in
+    # canonical order
+    walk = sorted(range(len(axes)), key=lambda i: not any(
+        isinstance(lit.atom, CausalAtom) for option in axes[i]
+        for lit in option))
 
-    worlds: List[World] = []
-    for groups, assignment, causal in _consistent_choices(t, axes, closures):
+    survivors = []
+    truths: Dict[FrozenSet, Dict[Symbol, bool]] = {}
+    for options, assignment, causal in _consistent_choices(
+            t, [axes[i] for i in walk], closures):
         truth: Dict[Symbol, bool] = {}
         causal_truth: Dict[CausalAtom, bool] = dict.fromkeys(causal, True)
         for atom, value in assignment.items():
@@ -180,14 +197,18 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
             table[atom] = value
         if any(_clause_violated(cl, truth, causal_truth) for cl in t.clauses):
             continue
-        if len(worlds) == max_worlds:
+        if len(survivors) == max_worlds:
             raise WorldOverflowError(max_worlds)
+        key = [0] * len(axes)
         chosen = set(t.facts)
-        for group in groups:
-            chosen.update(group)
-        worlds.append(World(index=len(worlds) + 1, chosen=frozenset(chosen),
-                            truth=truth, causal=causal))
-    return tuple(worlds)
+        for i, option in zip(walk, options):
+            key[i] = option
+            chosen.update(axes[i][option])
+        truth = truths.setdefault(frozenset(truth.items()), truth)
+        survivors.append((key, frozenset(chosen), truth, causal))
+    survivors.sort(key=lambda s: s[0])
+    return tuple(World(index, chosen, truth, causal) for index, (
+        _, chosen, truth, causal) in enumerate(survivors, 1))
 
 
 def verify(atoms: Iterable[ExplanationAtom], world: World

@@ -108,6 +108,44 @@ def test_empty_input_is_success(capsys, tmp_path):
     assert out == ""
 
 
+def _recording(stream, sizes):
+    """stream, with the length of each write appended to sizes."""
+    write = stream.write
+
+    def recorded(text):
+        sizes.append(len(text))
+        return write(text)
+    stream.write = recorded
+    return stream
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_report_is_written_whole_in_slices(monkeypatch, tmp_path, to_file):
+    text = FIG_TEXT + "".join("true(%s) v -true(%s).\n" % (s, s) for s in
+                              ("gamma1", "beta", "epsilon1", "delta", "beta3"))
+    theory = tmp_path / "theory.lp"
+    theory.write_text(text)
+    parsed, config = parse_input(text), cli.RunConfig()
+    report = cli.render_json(
+        cli.run_pipeline(parsed.theory, parsed.stage, config), config)
+    assert len(report) > cli._SLICE
+    sizes = []
+    argv = [str(theory), "--format", "json"]
+    if to_file:
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _recording(
+            open(*a, **k), sizes), raising=False)
+        assert main(argv + ["--out", str(out)]) == 0
+        written = out.read_text()
+    else:
+        stdout = _recording(io.StringIO(), sizes)
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(argv) == 0
+        written = stdout.getvalue()
+    assert written == report
+    assert len(sizes) > 1 and max(sizes) <= cli._SLICE
+
+
 def test_missing_file_exit_1(capsys, tmp_path):
     assert main([str(tmp_path / "absent.lp")]) == 1
 

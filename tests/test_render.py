@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalexpl.cli import (RunConfig, _json, _Raw, render_json, render_text,
-                            run_pipeline)
+from causalexpl.cli import RunConfig, render_json, render_text, run_pipeline
 from causalexpl import model
 from causalexpl.model import Literal, atom_sort_key
 from causalexpl.parser import STAGE_SECTIONS, parse_input
@@ -185,25 +184,3 @@ def test_random_reports_match_the_reference(seed, stage, oracle):
     t = t._replace(completions=frozenset(completed), facts=frozenset(facts))
     _check(t, stage, oracle=oracle)
 
-
-# -- the writer on its own --------------------------------------------------
-
-_values = st.recursive(
-    st.booleans() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_values)
-def test_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
-
-
-@given(st.lists(_values, max_size=3))
-def test_raw_blocks_splice_at_their_indentation(values):
-    pad = " " * 8    # the items of "inner" below
-    spliced = {"outer": [{"inner": [_Raw(_json(v, pad)) for v in values]}]}
-    assert _json(spliced) == json.dumps(
-        {"outer": [{"inner": values}]}, indent=2)

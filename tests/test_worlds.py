@@ -315,7 +315,8 @@ def test_causal_set_fixed_partway_through_the_walk(monkeypatch, inclusive):
         clauses=frozenset([_clause(Literal(be, True), Literal(e, False)),
                            _clause(Literal(a, True), Literal(c, True))]),
         # axes: the two disjunctions, then a, b, cause(b,c), c, d, e; the
-        # causal set is fixed after the fifth
+        # walk takes the first disjunction and cause(b,c) first, so the
+        # causal set is fixed after its second axis
         completions=frozenset([a, b, bc, c, d, e]))
     calls = _counting_propagation(monkeypatch)
     worlds = enumerate_worlds(t, max_worlds=10 ** 6,
@@ -359,6 +360,59 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
         expected = verify(optimize(generate(tw), compute_closures(tw)),
                           world)
         assert result.verified[world.index] == expected
+
+
+def _false_symbols(world):
+    return frozenset(s for s, value in world.truth.items() if not value)
+
+
+def test_worlds_share_their_causal_set_and_truth():
+    # x and y are free in both causal sets, so each truth recurs on both
+    t = parse_input("cause(a,b). cause(b,c) v -cause(b,c). "
+                    "true(x) v -true(x). true(y) v -true(y).").theory
+    base = frozenset(t.causal)
+    closures = {base: compute_closures(t)}
+    worlds = enumerate_worlds(t, closures=closures)
+    assert len(worlds) == 8
+    # worlds on one causal set hold its closures key, the caller's too
+    keys = {causal: causal for causal in closures}
+    assert {w.causal for w in worlds} == set(keys)
+    assert all(w.causal is keys[w.causal] for w in worlds)
+    assert any(w.causal is base for w in worlds)
+    truths = {}
+    for w in worlds:
+        assert truths.setdefault(frozenset(w.truth.items()), w.truth) \
+            is w.truth
+    assert len(truths) == 4
+
+
+def test_pipeline_verifies_once_per_causal_set_and_false_symbols(
+        monkeypatch):
+    # the inclusive disjunction's three options leave x and y true or
+    # unknown, so each (causal set, z) has three worlds and one pair
+    t = parse_input("cause(a,b). cause(b,c) v -cause(b,c). "
+                    "true(x) v true(y). true(z) v -true(z).").theory
+    calls = []
+
+    def counting_verify(atoms, world):
+        calls.append((world.causal, _false_symbols(world)))
+        return verify(atoms, world)
+
+    monkeypatch.setattr(cli, "verify", counting_verify)
+    result = cli.run_pipeline(t, StageFacts(),
+                              cli.RunConfig(inclusive_disjunction=True))
+    monkeypatch.undo()
+    pairs = {w.index: (w.causal, _false_symbols(w)) for w in result.worlds}
+    assert len(result.worlds) == 12
+    assert len(calls) == len(set(calls)) == len(set(pairs.values())) == 4
+    # each world holds its pair's one verified set, the set verify gives it
+    by_pair = {}
+    for world in result.worlds:
+        verified = result.verified[world.index]
+        assert by_pair.setdefault(pairs[world.index], verified) is verified
+        tw = t.with_causal(world.causal)
+        c = compute_closures(tw)
+        assert verified == verify(optimize(generate(tw, c), c), world)
 
 
 def test_pipeline_drops_closures_no_world_needs(monkeypatch):
