@@ -15,9 +15,11 @@ and "optimal" keys.
 A verdict is the set of worlds that verify its atom: every atom verified in
 some world is brave, and cautious too when that set holds every world.  Both
 report writers sort the reported atoms once (model.ranked_atoms); each stage
-section, world and verdict lists positions in that one order, and text
-output formats each atom's body once, JSON output its "from", "to" and
-"conditions".  The report is written to its stream in slices.
+section, distinct verified set and verdict lists positions in that one
+order (a world those of its verified set), and text output formats each
+atom's body once, JSON output its "from", "to" and "conditions".  Atoms
+verified in the same worlds share one verdict.  The report is written to
+its stream in slices.
 
 Exit codes: 0 success, 1 input error (an unwritable --out too), 2 world
 overflow, 3 internal error.
@@ -139,24 +141,30 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                               closures=closures)
     result.worlds = worlds
     # generate + optimize run once per distinct causal set, not per world,
-    # and verify once per distinct (causal set, false symbols) pair; worlds
-    # with equal verified sets hold one.  The closures of a set no world
-    # holds are dropped now, and those of the others once their optimal
-    # atoms exist
+    # and verify once per distinct (optimal atom set, false symbols in its
+    # conditions) pair, the only false symbols verify reads; worlds with
+    # equal verified sets hold one.  The closures of a set no world holds
+    # are dropped now, and those of the others once their optimal atoms
+    # exist
     optimal_by_causal = {base: result.optimal}
+    mentioned = {}      # optimal atom set -> the symbols of its conditions
     verified_by_pair, verified_sets = {}, {}
     for causal in (closures.keys() - {w.causal for w in worlds}) | {base}:
         closures.pop(causal, None)
     for world in worlds:
-        pair = (world.causal, frozenset(
+        atoms = optimal_by_causal.get(world.causal)
+        if atoms is None:
+            c = closures.pop(world.causal)
+            atoms = optimize(generate(t.with_causal(world.causal), c), c)
+            optimal_by_causal[world.causal] = atoms
+        symbols = mentioned.get(atoms)
+        if symbols is None:
+            symbols = mentioned[atoms] = frozenset().union(
+                *(atom.conditions for atom in atoms))
+        pair = (atoms, symbols.intersection(
             s for s, value in world.truth.items() if not value))
         verified = verified_by_pair.get(pair)
         if verified is None:
-            atoms = optimal_by_causal.get(world.causal)
-            if atoms is None:
-                c = closures.pop(world.causal)
-                atoms = optimize(generate(t.with_causal(world.causal), c), c)
-                optimal_by_causal[world.causal] = atoms
             verified = verify(atoms, world)
             verified = verified_by_pair[pair] = verified_sets.setdefault(
                 verified, verified)
@@ -171,31 +179,41 @@ def _ranked(result: RunResult, config: RunConfig):
     """(sections, verifies, order, ranks): the stage sections the run emits
     (the oracle emits both), whether it emits worlds and verdicts, and
     ranked_atoms over every reported atom, grouped by section field, by
-    world index and under "verdicts"."""
+    distinct verified set (a world's ranks are those of its set) and under
+    "verdicts"."""
     sections = [section for section in STAGE_SECTIONS
                 if config.stage in section.stages or config.oracle]
     groups = {section.field: getattr(result, section.field)
               for section in sections}
     verifies = config.stage in ("verify", "all") and not config.oracle
     if verifies:
-        groups.update(result.verified)
+        verified = result.verified.values()
+        groups.update(zip(verified, verified))
         groups["verdicts"] = result.verdicts
     return (sections, verifies) + ranked_atoms(groups)
 
 
 def render_text(result: RunResult, config: RunConfig) -> str:
+    """The fact-file report, appended to one list of chunks and joined
+    once: each line is its head, its atom's body and ").\n", every body
+    written once and every head once per functor or world."""
     sections, verifies, order, ranks = _ranked(result, config)
     bodies = [atom_body(atom) for atom in order]
-    lines = ["%s(%s)." % (section.functor, bodies[r])
-             for section in sections for r in ranks[section.field]]
+    out: List[str] = []
+    for section in sections:
+        head = section.functor + "("
+        for r in ranks[section.field]:
+            out += (head, bodies[r], ").\n")
     if verifies:
-        lines += ["explVer(%d,%s)." % (index, bodies[r])
-                  for index in sorted(result.verified) for r in ranks[index]]
+        for index in sorted(result.verified):
+            head = "explVer(%d," % index
+            for r in ranks[result.verified[index]]:
+                out += (head, bodies[r], ").\n")
         for r in ranks["verdicts"]:
-            lines.append("brave(%s)." % bodies[r])
+            out += ("brave(", bodies[r], ").\n")
             if len(result.verdicts[order[r]]) == len(result.worlds):
-                lines.append("cautious(%s)." % bodies[r])
-    return "\n".join(lines) + ("\n" if lines else "")
+                out += ("cautious(", bodies[r], ").\n")
+    return "".join(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,18 +299,27 @@ def _write_worlds(result: RunResult, order: List[ExplanationAtom],
         out += (index, indices[w.index], facts)
         _items(map(quoted.__getitem__, sorted(w.chosen, key=str)), _KEY, out)
         out.append(explanations)
-        _items(map(blocks.__getitem__, ranks.get(w.index, ())), _KEY, out)
+        _items(map(blocks.__getitem__, ranks[result.verified[w.index]]),
+               _KEY, out)
         out.append(_CLOSE)
 
     cautious = {flag: '%s"brave": true%s"cautious": %s%s"worlds": ' % (
         _KEY_LINE, _KEY_LINE, "true" if flag else "false", _KEY_LINE)
         for flag in (False, True)}
 
+    # each distinct verdict's world list is written once (verdicts of atoms
+    # verified in the same worlds are one frozenset)
+    lists: Dict[FrozenSet[int], str] = {}
+
     def verdict(out, r):
         worlds = result.verdicts[order[r]]
-        out += (heads[r], cautious[len(worlds) == len(result.worlds)])
-        _items(map(indices.__getitem__, sorted(worlds)), _KEY, out)
-        out.append(_CLOSE)
+        text = lists.get(worlds)
+        if text is None:
+            chunks: List[str] = []
+            _items(map(indices.__getitem__, sorted(worlds)), _KEY, chunks)
+            text = lists[worlds] = "".join(chunks)
+        out += (heads[r], cautious[len(worlds) == len(result.worlds)], text,
+                _CLOSE)
 
     out.append(',\n  "worlds": ')
     _items(result.worlds, "  ", out, world)

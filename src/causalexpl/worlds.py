@@ -224,12 +224,25 @@ def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],
                    n_worlds: int) -> Dict[ExplanationAtom, FrozenSet[int]]:
     """Each atom verified in some world, mapped to the indices of the worlds
     that verify it, in no particular order.  An atom is brave when it is a
-    key and cautious when its set holds all n_worlds worlds.  Raises
-    InconsistentTheoryError when no world survives."""
+    key and cautious when its set holds all n_worlds worlds.  Atoms verified
+    in the same worlds share one frozenset.  Raises InconsistentTheoryError
+    when no world survives."""
     if n_worlds == 0:
         raise InconsistentTheoryError("inconsistent premises: no world survives")
-    seen = defaultdict(set)
+    # the worlds of each verified set (frozenset returns a frozenset as it
+    # is), and each atom's positions among those sets
+    worlds_of = defaultdict(list)
     for index, atoms in verified_by_world.items():
+        worlds_of[frozenset(atoms)].append(index)
+    positions = defaultdict(list)
+    for position, atoms in enumerate(worlds_of):
         for atom in atoms:
-            seen[atom].add(index)
-    return {atom: frozenset(indices) for atom, indices in seen.items()}
+            positions[atom].append(position)
+    indices = list(worlds_of.values())
+    verdicts, shared = {}, {}
+    for atom, held in positions.items():
+        held = tuple(held)
+        if held not in shared:
+            shared[held] = frozenset(i for p in held for i in indices[p])
+        verdicts[atom] = shared[held]
+    return verdicts

@@ -6,16 +6,17 @@ import functools
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalexpl.cli import RunConfig, render_json, render_text, run_pipeline
-from causalexpl import model
+from causalexpl import cli, model
 from causalexpl.model import Literal, atom_sort_key
 from causalexpl.parser import STAGE_SECTIONS, parse_input
-from conftest import FIG_TEXT, random_theory
+from conftest import FIG_TEXT, chain_theory, random_theory
 
 STAGES = ("gen", "opt", "verify", "all")
 
@@ -165,6 +166,50 @@ def test_each_reported_atom_is_sorted_and_formatted_once(monkeypatch,
     # render_json writes no fact-file bodies
     assert bodies == (dict.fromkeys(reported, 1) if render is render_text
                       else {})
+
+
+def test_worlds_are_ranked_once_per_verified_set(monkeypatch):
+    config = RunConfig(stage="all")
+    # x occurs in no condition, so the worlds on either value of a share
+    # one verified set
+    result = run_pipeline(parse_input(
+        "cause(a,b). true(a) v -true(a). true(x) v -true(x).").theory,
+        parse_input("").stage, config)
+    seen = []
+
+    def recording(groups):
+        seen.append(groups)
+        return model.ranked_atoms(groups)
+    monkeypatch.setattr(cli, "ranked_atoms", recording)
+    for render in (render_text, render_json):
+        render(result, config)
+    verified = set(result.verified.values())
+    assert len(result.worlds) == 4 and len(verified) == 2 and len(seen) == 2
+    for groups in seen:
+        assert set(groups) == {"generated", "optimal", "verdicts"} | verified
+
+
+@pytest.fixture(scope="module")
+def chain_result():
+    config = RunConfig(stage="all")
+    return run_pipeline(chain_theory(3), parse_input("").stage,
+                        config), config
+
+
+@pytest.mark.parametrize("render, bound", [(render_text, 2.5),
+                                           (render_json, 2.0)])
+def test_render_peak_memory_is_bounded_by_the_report(chain_result, render,
+                                                     bound):
+    # a writer that builds a string per line, or copies the joined report,
+    # peaks at several times the report it returns
+    result, config = chain_result
+    tracemalloc.start()
+    try:
+        report = render(result, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(report)
 
 
 # -- random theories -------------------------------------------------------------

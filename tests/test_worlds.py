@@ -157,6 +157,27 @@ def test_brave_cautious_flags():
     assert brave_cautious({1: [atom]}, 1) == {atom: frozenset({1})}
 
 
+def test_atoms_verified_in_the_same_worlds_share_one_verdict():
+    a, b, c, d = (ExplanationAtom(sym(s), sym("z"), (sym(s),))
+                  for s in "abcd")
+    # lists with equal atoms in different orders are one verified set
+    verdicts = brave_cautious(
+        {1: [a, b, c], 2: [b, a], 3: [c], 4: [d, c], 5: []}, 5)
+    assert verdicts == {a: frozenset({1, 2}), b: frozenset({1, 2}),
+                        c: frozenset({1, 3, 4}), d: frozenset({4})}
+    assert verdicts[a] is verdicts[b]
+    # the pipeline's verdicts: one object per distinct set of worlds
+    t = parse_input("cause(a,b). cause(a,c). cause(d,e). cause(d,f). "
+                    "cause(g,h). true(a) v -true(a). "
+                    "true(d) v -true(d).").theory
+    result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
+    shared = {}
+    for worlds in result.verdicts.values():
+        assert shared.setdefault(worlds, worlds) is worlds
+    assert sorted(map(sorted, shared)) == [[1, 2], [1, 2, 3, 4], [1, 3]]
+    assert len(result.verdicts) == 5
+
+
 def test_brave_cautious_no_worlds_raises():
     with pytest.raises(InconsistentTheoryError):
         brave_cautious({}, 0)
@@ -386,33 +407,44 @@ def test_worlds_share_their_causal_set_and_truth():
     assert len(truths) == 4
 
 
-def test_pipeline_verifies_once_per_causal_set_and_false_symbols(
+def test_pipeline_verifies_once_per_atom_set_and_relevant_false_symbols(
         monkeypatch):
     # the inclusive disjunction's three options leave x and y true or
-    # unknown, so each (causal set, z) has three worlds and one pair
+    # unknown; z and a are completed, and only a occurs in a condition, so
+    # each (causal set, a) has six worlds, two values of z and one pair
     t = parse_input("cause(a,b). cause(b,c) v -cause(b,c). "
-                    "true(x) v true(y). true(z) v -true(z).").theory
+                    "true(x) v true(y). true(z) v -true(z). "
+                    "true(a) v -true(a).").theory
     calls = []
 
+    def relevant(atoms, world):
+        mentioned = frozenset().union(*(a.conditions for a in atoms))
+        return atoms, _false_symbols(world) & mentioned
+
     def counting_verify(atoms, world):
-        calls.append((world.causal, _false_symbols(world)))
+        calls.append(relevant(atoms, world))
         return verify(atoms, world)
 
     monkeypatch.setattr(cli, "verify", counting_verify)
     result = cli.run_pipeline(t, StageFacts(),
                               cli.RunConfig(inclusive_disjunction=True))
     monkeypatch.undo()
-    pairs = {w.index: (w.causal, _false_symbols(w)) for w in result.worlds}
-    assert len(result.worlds) == 12
-    assert len(calls) == len(set(calls)) == len(set(pairs.values())) == 4
+    pairs = {}
+    for w in result.worlds:
+        tw = t.with_causal(w.causal)
+        c = compute_closures(tw)
+        pairs[w.index] = relevant(optimize(generate(tw, c), c), w)
+    assert len(result.worlds) == 24
+    assert len({(w.causal, _false_symbols(w)) for w in result.worlds}) == 8
+    assert len(calls) == len(set(calls)) == 4
+    assert set(calls) == set(pairs.values())
     # each world holds its pair's one verified set, the set verify gives it
     by_pair = {}
     for world in result.worlds:
         verified = result.verified[world.index]
         assert by_pair.setdefault(pairs[world.index], verified) is verified
-        tw = t.with_causal(world.causal)
-        c = compute_closures(tw)
-        assert verified == verify(optimize(generate(tw, c), c), world)
+        atoms = pairs[world.index][0]
+        assert verified == verify(atoms, world)
 
 
 def test_pipeline_drops_closures_no_world_needs(monkeypatch):
