@@ -21,13 +21,14 @@ atom's body once, JSON output its "from", "to" and "conditions".  Atoms
 verified in the same worlds share one verdict.  The report is written to
 its stream in slices.
 
-Exit codes: 0 success, 1 input error (an unwritable --out too), 2 world
-overflow, 3 internal error.
+Exit codes: 0 success (a reader closing stdout early too), 1 input error
+(an unwritable --out too), 2 world overflow, 3 internal error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
@@ -413,7 +414,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.out, "w") as fh:
                 _write_slices(out, fh)
         else:
-            _write_slices(out, sys.stdout)
+            try:
+                _write_slices(out, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader stopped early: not an error
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except WorldOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW

@@ -10,7 +10,7 @@ seeds over it, keeping only the subset-minimal condition sets of each
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .closure import ClosureRelations, compute_closures
 from .model import ExplanationAtom, Symbol, Theory
@@ -80,14 +80,15 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
                       inits: FrozenSet[InitialExplanation],
                       cyclic: FrozenSet[Symbol] = frozenset(),
                       ) -> FrozenSet[ExplanationAtom]:
-    """Condition-gathering fixpoint over an antichain of minimal sets.
+    """Condition-gathering fixpoint, keeping only subset-minimal sets.
 
     (i,k,S) composed with an initial (k,j,e2), e2 != k, yields (i,j,S+{e2});
-    an initial (k,j,k) extends the path without growing the set.  For each
-    (i,j) only the subset-minimal sets are kept: a new set is dropped when
-    a kept set is a subset of it, and evicts the kept sets it is a strict
-    subset of.  Evaluation is semi-naive: each round composes only the sets
-    the round before added and still holds.
+    an initial (k,j,k) extends the path without growing the set.  Candidates
+    are taken in order of set size, and composing never shrinks a set, so
+    when a candidate comes up every smaller set it could be dropped for is
+    already kept: it is dropped when a kept set is a subset of it, and a
+    kept set is final.  A queued candidate is (i, j, parent set, added
+    symbol or None); its set is built only when it comes up.
 
     Dominance only applies between sets that hold the same members of
     cyclic (symbols on an impco cycle): reduce_conditions can shrink such a
@@ -98,33 +99,30 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
     for init in inits:
         inits_from[init.source].append((init.target, init.extra))
 
-    # (i, j, members in cyclic) -> the antichain of minimal condition sets
-    state: Dict[Tuple[Symbol, Symbol, FrozenSet[Symbol]],
-                Set[FrozenSet[Symbol]]] = defaultdict(set)
-
-    def add(i: Symbol, j: Symbol, new: FrozenSet[Symbol]) -> bool:
-        kept = state[(i, j, new & cyclic)]
-        if any(map(new.issuperset, kept)):
-            return False
-        kept.difference_update(list(filter(new.__lt__, kept)))
-        kept.add(new)
-        return True
-
-    delta = {key for key in seeds if add(*key)}
-    while delta:
-        added = set()
-        for i, k, conditions in delta:
-            if conditions not in state[(i, k, conditions & cyclic)]:
-                continue  # evicted since it was added
+    # (i, j, members in cyclic) -> the minimal condition sets kept
+    kept: Dict[Tuple[Symbol, Symbol, FrozenSet[Symbol]],
+               List[FrozenSet[Symbol]]] = defaultdict(list)
+    levels = defaultdict(list)  # set size -> queued candidates
+    for i, j, conditions in seeds:
+        levels[len(conditions)].append((i, j, conditions, None))
+    size = 1
+    while levels:
+        level = levels.pop(size, [])  # grows while it is walked
+        for i, k, parent, added in level:
+            new = parent if added is None else parent | {added}
+            sets = kept[(i, k, new & cyclic)]
+            if any(map(new.issuperset, sets)):
+                continue
+            sets.append(new)
             for j, e2 in inits_from.get(k, ()):
-                new = conditions if e2 == k else conditions | {e2}
-                if add(i, j, new):
-                    added.add((i, j, new))
-        delta = added
+                if e2 == k or e2 in new:
+                    level.append((i, j, new, None))
+                else:
+                    levels[size + 1].append((i, j, new, e2))
+        size += 1
 
     return frozenset(ExplanationAtom(i, j, conds)
-                     for (i, j, _), sets in state.items()
-                     for conds in sets)
+                     for (i, j, _), sets in kept.items() for conds in sets)
 
 
 def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations

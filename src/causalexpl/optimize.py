@@ -64,11 +64,6 @@ def _pairs(atoms: Iterable[ExplanationAtom]
     return groups.values()
 
 
-def _groups(atoms: Iterable[ExplanationAtom]) -> Iterator[_Group]:
-    """Every (source, target) group, interned."""
-    return map(_Group, _pairs(atoms))
-
-
 def prune_supersets(g: _Group) -> int:
     """The bitset of g's atoms whose condition set strictly contains no
     sibling's."""

@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 
 from causalexpl import cli
 from causalexpl.cli import main
-from causalexpl.parser import parse_input
-from conftest import FIG_TEXT
+from causalexpl.parser import emit_theory, parse_input
+from conftest import FIG_TEXT, chain_theory
 
 
 @pytest.fixture()
@@ -531,3 +534,20 @@ def test_stage_input_of_the_last_stage_builds_no_closures(
     assert code == 0
     assert out == given.read_text()
     assert built == []
+
+
+def test_reader_closing_stdout_early_is_success(tmp_path):
+    """`causalexpl chain.lp | head` ends the run quietly with exit 0."""
+    theory = tmp_path / "chain.lp"
+    theory.write_text(emit_theory(chain_theory(3)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from causalexpl.cli import main; sys.exit(main())",
+             str(theory)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src)) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""

@@ -1,6 +1,7 @@
 """Generation stage: initial rules, seeding precedence, transitive gathering."""
 import importlib
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from causalexpl.closure import compute_closures
 from causalexpl.generate import (InitialExplanation, ecinit_base, ecinit_full,
                                  gather_transitive, generate, reduce_conditions,
                                  seed_ecsets)
-from causalexpl.model import CausalAtom, OntAtom, Theory, sym
+from causalexpl.model import (CausalAtom, ExplanationAtom, OntAtom, Theory,
+                             sym)
 from causalexpl.optimize import optimize
 from conftest import atom_keys, chain_theory, random_theory
 
@@ -201,21 +203,11 @@ def test_generation_deterministic(seed):
     assert generate(t) == generate(t)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_gathering_guard_cannot_change_optimizer_answer(seed):
-    """The already-derived guard only suppresses supersets of existing sets."""
-    from causalexpl.optimize import optimize
-    t = random_theory(random.Random(seed))
-    c = compute_closures(t)
-    inits = ecinit_full(c, ecinit_base(t, c))
-    seeds = seed_ecsets(inits)
-    guarded = reduce_conditions(gather_transitive(seeds, inits), c)
-
-    # Unguarded variant: saturate unions without the not-ecSet suppression.
+def _saturate(seeds, inits):
+    """Every (i, j, conditions) the gathering rule derives from the seeds,
+    with no dominance: the unions saturated without the not-ecSet
+    suppression."""
     state = {tuple(a) for a in seeds}
-    from causalexpl.model import ExplanationAtom
-    from collections import defaultdict
     inits_from = defaultdict(list)
     for init in inits:
         inits_from[init.source].append((init.target, init.extra))
@@ -229,11 +221,42 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
                 if key not in state:
                     state.add(key)
                     changed = True
-    unguarded = reduce_conditions(
-        frozenset(ExplanationAtom(i, j, cs) for i, j, cs in state), c)
+    return state
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_gathering_guard_cannot_change_optimizer_answer(seed):
+    """The already-derived guard only suppresses supersets of existing sets."""
+    t = random_theory(random.Random(seed))
+    c = compute_closures(t)
+    inits = ecinit_full(c, ecinit_base(t, c))
+    seeds = seed_ecsets(inits)
+    guarded = reduce_conditions(gather_transitive(seeds, inits), c)
+    unguarded = reduce_conditions(frozenset(
+        ExplanationAtom(i, j, cs) for i, j, cs in _saturate(seeds, inits)), c)
 
     assert atom_keys(optimize(guarded, c)) == \
         atom_keys(optimize(unguarded, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_gathering_keeps_the_minimal_sets_of_the_saturation(seed, acyclic):
+    """Per (source, target, members on an impco cycle), gathering keeps
+    exactly the subset-minimal sets of the plain saturation."""
+    t = random_theory(random.Random(seed), acyclic=acyclic)
+    c = compute_closures(t)
+    inits = ecinit_full(c, ecinit_base(t, c))
+    cyclic = frozenset(a for a, b in c.impco if a != b and (b, a) in c.impco)
+    seeds = seed_ecsets(inits)
+    buckets = defaultdict(list)
+    for i, j, conds in _saturate(seeds, inits):
+        buckets[(i, j, conds & cyclic)].append(conds)
+    minimal = {(i, j, x) for (i, j, _), sets in buckets.items()
+               for x in sets if not any(y < x for y in sets)}
+    assert {tuple(a) for a in gather_transitive(seeds, inits, cyclic)} == \
+        minimal
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
 from causalexpl.model import CausalAtom, ExplanationAtom, Theory, sym
-from causalexpl.optimize import (_bits, _groups, entailment_subsumption,
-                                 optimize, prune_supersets)
+from causalexpl.optimize import (_bits, _Group, _pairs,
+                                 entailment_subsumption, optimize,
+                                 prune_supersets)
 from conftest import atom_keys, chain_theory, random_theory
 
 
@@ -30,7 +31,7 @@ def _closures(*causal):
 
 def _prune_supersets(atoms):
     """The atoms the per-group superset kernel keeps, over all groups."""
-    return frozenset(g.atoms[n] for g in _groups(atoms)
+    return frozenset(g.atoms[n] for g in map(_Group, _pairs(atoms))
                      for n in _bits(prune_supersets(g)))
 
 
@@ -38,7 +39,7 @@ def _entailment_subsumption(atoms, c):
     """The atoms the per-group entailment kernel keeps when every atom of
     a group is a candidate."""
     return frozenset(
-        g.atoms[n] for g in _groups(atoms)
+        g.atoms[n] for g in map(_Group, _pairs(atoms))
         for n in _bits(entailment_subsumption(
             g, (1 << len(g.atoms)) - 1, c.impco_succ)))
 
