@@ -142,28 +142,25 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                               closures=closures)
     result.worlds = worlds
     # generate + optimize run once per distinct causal set, not per world,
-    # and verify once per distinct (optimal atom set, false symbols in its
-    # conditions) pair, the only false symbols verify reads; worlds with
-    # equal verified sets hold one.  The closures of a set no world holds
-    # are dropped now, and those of the others once their optimal atoms
-    # exist
-    optimal_by_causal = {base: result.optimal}
-    mentioned = {}      # optimal atom set -> the symbols of its conditions
+    # and verify once per distinct (optimal atom set, mask of the false
+    # symbols in its conditions) pair, the only false symbols verify reads;
+    # worlds with equal verified sets hold one.  The closures of a set no
+    # world holds are dropped now, and those of the others once their
+    # optimal atoms exist
+    def with_mask(atoms):  # the atoms and the OR of their masks
+        return atoms, functools.reduce(int.__or__, (a.mask for a in atoms), 0)
+    optimal_by_causal = {base: with_mask(result.optimal)}
     verified_by_pair, verified_sets = {}, {}
     for causal in (closures.keys() - {w.causal for w in worlds}) | {base}:
         closures.pop(causal, None)
     for world in worlds:
-        atoms = optimal_by_causal.get(world.causal)
-        if atoms is None:
+        known = optimal_by_causal.get(world.causal)
+        if known is None:
             c = closures.pop(world.causal)
-            atoms = optimize(generate(t.with_causal(world.causal), c), c)
-            optimal_by_causal[world.causal] = atoms
-        symbols = mentioned.get(atoms)
-        if symbols is None:
-            symbols = mentioned[atoms] = frozenset().union(
-                *(atom.conditions for atom in atoms))
-        pair = (atoms, symbols.intersection(
-            s for s, value in world.truth.items() if not value))
+            known = optimal_by_causal[world.causal] = with_mask(
+                optimize(generate(t.with_causal(world.causal), c), c))
+        atoms, mentioned = known
+        pair = (atoms, mentioned & world.false_mask())
         verified = verified_by_pair.get(pair)
         if verified is None:
             verified = verify(atoms, world)

@@ -32,7 +32,9 @@ class ClosureRelations(namedtuple("ClosureRelations", (
         "ontt", "impco",
         "ontt_supers",      # sub -> supers
         "ontt_subs",        # super -> subs
-        "impco_succ", "impco_pred"))):
+        "impco_succ", "impco_pred",
+        "impco_above",      # bit -> mask of the symbols it implies
+        "impco_below"))):   # bit -> mask of the symbols implying it
     """The one closure index of a theory: every stage reads its pair sets
     and their rows, which derive from the pairs."""
     __slots__ = ()
@@ -74,5 +76,8 @@ def compute_closures(t: Theory) -> ClosureRelations:
     _, symbol_e = symbol_universe(t)
     impco = impco_closure(t.causal, t.ontology, symbol_e)
     ontt = ont_closure(t.ontology)
-    return ClosureRelations(ontt, impco,
-                            *relation_rows(ontt), *relation_rows(impco))
+    rows = relation_rows(impco)
+    # the same rows as masks: a symbol's bit -> the OR of its row's bits
+    masks = (MappingProxyType({s.bit: sum(t.bit for t in row)
+                               for s, row in fwd.items()}) for fwd in rows)
+    return ClosureRelations(ontt, impco, *relation_rows(ontt), *rows, *masks)

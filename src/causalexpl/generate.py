@@ -5,11 +5,15 @@ and the double-ontology relation is read off their witnesses
 (ecinit_full).  One rule seeds the fixpoint from that relation
 (seed_ecsets), and the transitive condition-gathering fixpoint extends the
 seeds over it, keeping only the subset-minimal condition sets of each
-(source, target) pair (up to symbols on implication cycles).
+(source, target) pair (up to symbols on implication cycles).  Gathering and
+reduction work on condition masks (model.Symbol.bit) and on impco's rows as
+masks (ClosureRelations.impco_below).
 """
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from itertools import repeat
+from operator import and_
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .closure import ClosureRelations, compute_closures
@@ -78,51 +82,53 @@ def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAt
 
 def gather_transitive(seeds: FrozenSet[ExplanationAtom],
                       inits: FrozenSet[InitialExplanation],
-                      cyclic: FrozenSet[Symbol] = frozenset(),
-                      ) -> FrozenSet[ExplanationAtom]:
+                      cyclic: int = 0) -> FrozenSet[ExplanationAtom]:
     """Condition-gathering fixpoint, keeping only subset-minimal sets.
 
     (i,k,S) composed with an initial (k,j,e2), e2 != k, yields (i,j,S+{e2});
     an initial (k,j,k) extends the path without growing the set.  Candidates
-    are taken in order of set size, and composing never shrinks a set, so
-    when a candidate comes up every smaller set it could be dropped for is
-    already kept: it is dropped when a kept set is a subset of it, and a
-    kept set is final.  A queued candidate is (i, j, parent set, added
-    symbol or None); its set is built only when it comes up.
+    (i, j, mask) are taken in order of set size, and composing never
+    shrinks a set, so when a candidate comes up every smaller set it could
+    be dropped for is already kept: it is dropped when a kept set is a
+    subset of it, and a kept set is final.
 
     Dominance only applies between sets that hold the same members of
-    cyclic (symbols on an impco cycle): reduce_conditions can shrink such a
-    superset to a set the optimizer keeps.  With no cycle the result is the
-    set of subset-minimal atoms of the full saturation.
+    cyclic (the mask of the symbols on an impco cycle): reduce_conditions
+    can shrink such a superset to a set the optimizer keeps.  With no cycle
+    the result is the set of subset-minimal atoms of the full saturation.
     """
+    # k -> (j, the bit an initial (k, j, e2) adds, 0 when e2 is k)
     inits_from = defaultdict(list)
+    universe = 0    # every bit a set can hold
     for init in inits:
-        inits_from[init.source].append((init.target, init.extra))
+        inits_from[init.source].append(
+            (init.target, 0 if init.extra == init.source else init.extra.bit))
+        universe |= init.extra.bit
 
     # (i, j, members in cyclic) -> the minimal condition sets kept
-    kept: Dict[Tuple[Symbol, Symbol, FrozenSet[Symbol]],
-               List[FrozenSet[Symbol]]] = defaultdict(list)
+    kept: Dict[Tuple[Symbol, Symbol, int], List[int]] = defaultdict(list)
     levels = defaultdict(list)  # set size -> queued candidates
-    for i, j, conditions in seeds:
-        levels[len(conditions)].append((i, j, conditions, None))
+    for i, j, mask in seeds:
+        levels[mask.bit_count()].append((i, j, mask))
+        universe |= mask
     size = 1
     while levels:
         level = levels.pop(size, [])  # grows while it is walked
-        for i, k, parent, added in level:
-            new = parent if added is None else parent | {added}
+        for i, k, new in level:
             sets = kept[(i, k, new & cyclic)]
-            if any(map(new.issuperset, sets)):
+            # s <= new when s & (universe ^ new) is 0 (unsigned, unlike ~new)
+            if not all(map(and_, sets, repeat(universe ^ new))):
                 continue
             sets.append(new)
-            for j, e2 in inits_from.get(k, ()):
-                if e2 == k or e2 in new:
-                    level.append((i, j, new, None))
+            for j, added in inits_from.get(k, ()):
+                if added & ~new:
+                    levels[size + 1].append((i, j, new | added))
                 else:
-                    levels[size + 1].append((i, j, new, e2))
+                    level.append((i, j, new))
         size += 1
 
-    return frozenset(ExplanationAtom(i, j, conds)
-                     for (i, j, _), sets in kept.items() for conds in sets)
+    return frozenset(ExplanationAtom._make((i, j, mask))
+                     for (i, j, _), sets in kept.items() for mask in sets)
 
 
 def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
@@ -133,20 +139,21 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
     member impco-implies it.  All reduced variants are kept alongside the
     originals; the optimizer decides what survives.
     """
+    below = c.impco_below
     out = set(atoms)
     frontier = list(atoms)
     while frontier:
-        atom = frontier.pop()
-        for phi in atom.conditions:
-            if phi == atom.source:
-                continue
-            rest = atom.conditions - {phi}
-            if c.impco_pred.get(phi, frozenset()).isdisjoint(rest):
-                continue
-            reduced = ExplanationAtom(atom.source, atom.target, rest)
-            if reduced not in out:
-                out.add(reduced)
-                frontier.append(reduced)
+        i, j, mask = frontier.pop()
+        members = mask & ~i.bit
+        while members:
+            phi = members & -members
+            members ^= phi
+            rest = mask ^ phi
+            if below.get(phi, 0) & rest:
+                reduced = ExplanationAtom._make((i, j, rest))
+                if reduced not in out:
+                    out.add(reduced)
+                    frontier.append(reduced)
     return frozenset(out)
 
 
@@ -155,6 +162,8 @@ def generate(t: Theory, closures: ClosureRelations = None
     """Run the full generation pipeline on a validated theory."""
     c = closures if closures is not None else compute_closures(t)
     full = ecinit_full(c, ecinit_base(t, c))
-    cyclic = frozenset(a for a, b in c.impco if a != b and (b, a) in c.impco)
+    # the symbols that imply, and are implied by, another symbol
+    cyclic = sum(bit for bit, up in c.impco_above.items()
+                 if up & c.impco_below[bit] & ~bit)
     gathered = gather_transitive(seed_ecsets(full), full, cyclic)
     return reduce_conditions(gathered, c)

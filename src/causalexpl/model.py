@@ -3,15 +3,17 @@
 All values are immutable; a validated theory can be shared freely between
 pipeline runs.  Symbols, causal and ontological atoms and literals are
 interned, one object per value, and every other value is a tuple, so
-hashing and comparing them runs in C.  A condition set is a frozenset of
-symbols, sorted by text only where it is written.
+hashing and comparing them runs in C.  Each symbol gets one bit of a
+process-wide numbering when it is interned, and a condition set is the int
+mask of its members' bits from generation to verification; it is decoded to
+symbols or text only at the public boundary and where text is written.
 """
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
+                    Optional, Tuple, Union)
 
 
 class _Interned:
@@ -55,10 +57,16 @@ class Symbol(_Interned):
     structured one.  Both live in a single namespace and are ordered by
     their rendered text form, which is computed once, here.  Text alone is
     not identity: Symbol("[at,x]") is flat and not sym("at", "x").
+
+    ``bit`` is ``1 << n`` for the symbol's number n, given in the order the
+    process interns symbols, so it differs between processes; a pickle
+    holds the name and arguments, not the number.
     """
-    __slots__ = ("name", "args", "_text")
+    __slots__ = ("name", "args", "_text", "bit")
     _fields = ("name", "args")
     _table: dict = {}
+    _numbered: List["Symbol"] = []  # the symbol of each number
+    _numbered_texts: List[str] = []  # and its text
 
     def __new__(cls, name: str, args: Optional[Tuple[str, ...]] = None):
         s = cls._table.get((name, args))
@@ -68,7 +76,10 @@ class Symbol(_Interned):
             raise ValueError("symbol name must be non-empty")
         text = (name if args is None
                 else "[" + ",".join((name,) + args) + "]")
-        return cls._intern(name, args, text)
+        s = cls._intern(name, args, text, 1 << len(cls._numbered))
+        cls._numbered.append(s)
+        cls._numbered_texts.append(text)
+        return s
 
     @property
     def structured(self) -> bool:
@@ -175,36 +186,57 @@ class Clause(namedtuple("Clause", "literals")):
         return self.render()
 
 
-class ExplanationAtom(namedtuple("ExplanationAtom",
-                                 "source target conditions")):
+def _members(mask: int, numbered: List) -> List:
+    """The items of numbered (indexed by symbol number) at mask's bits."""
+    out = []
+    while mask:
+        n = mask.bit_length() - 1
+        out.append(numbered[n])
+        mask ^= 1 << n
+    return out
+
+
+class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
     """source explains target because the condition set is jointly possible.
 
-    A tuple of its three fields, so its hash and ``==`` run in C over the
-    interned symbols.  The conditions are a frozenset, whatever iterable of
-    symbols built the atom; they are sorted only where text is written.  An
+    A tuple (source, target, mask), so its hash and ``==`` run in C: mask
+    is the OR of the conditions' ``Symbol.bit``, whatever iterable of
+    symbols built the atom.  ``conditions`` decodes it to a frozenset.  An
     atom's stage (generated, optimal, verified in a world) is the
     collection that holds it, not a field of the atom.
     """
     __slots__ = ()
-    _make = checked_make
 
     def __new__(cls, source: Symbol, target: Symbol,
                 conditions: Iterable[Symbol]):
-        conditions = frozenset(conditions)
-        if source not in conditions:
+        return cls._make((source, target,
+                          sum(s.bit for s in frozenset(conditions))))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "ExplanationAtom":
+        """The atom of (source, target, mask); ``_replace`` calls this."""
+        source, target, mask = fields
+        if not mask & source.bit:
             raise ValueError("explaining symbol must belong to its condition set")
-        return tuple.__new__(cls, (source, target, conditions))
+        return tuple.__new__(cls, (source, target, mask))
+
+    def __reduce__(self):
+        # symbol numbers are per process, so a pickle holds the symbols
+        return type(self), (self.source, self.target, self.conditions)
+
+    @property
+    def conditions(self) -> FrozenSet[Symbol]:
+        return frozenset(_members(self.mask, Symbol._numbered))
 
     def render(self) -> str:
         return "ecSet(%s)" % atom_body(self)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def condition_texts(atom: ExplanationAtom) -> List[str]:
     """The texts of an atom's conditions, in the order they are written."""
-    return sorted(map(str, atom.conditions))
+    return sorted(_members(atom.mask, Symbol._numbered_texts))
 
 
 def atom_body(atom: ExplanationAtom) -> str:

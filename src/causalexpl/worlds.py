@@ -37,6 +37,10 @@ class World(namedtuple("World", (
     def facts(self) -> Tuple[str, ...]:
         return tuple(sorted(lit.render() for lit in self.chosen))
 
+    def false_mask(self) -> int:
+        """The OR of the bits (Symbol.bit) of the symbols assigned false."""
+        return sum(s.bit for s, value in self.truth.items() if not value)
+
 
 def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...]]:
     literals = clause.sorted_literals()
@@ -215,9 +219,8 @@ def verify(atoms: Iterable[ExplanationAtom], world: World
            ) -> FrozenSet[ExplanationAtom]:
     """The atoms whose condition set has no member assigned false in the
     world; the same atom objects, not copies."""
-    false = {s for s, value in world.truth.items() if not value}
-    return frozenset(atom for atom in atoms
-                     if false.isdisjoint(atom.conditions))
+    false = world.false_mask()
+    return frozenset(atom for atom in atoms if not atom.mask & false)
 
 
 def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],

@@ -102,3 +102,7 @@ def test_rows_hold_exactly_the_pairs(seed):
         assert {(a, b) for a, row in fwd.items() for b in row} == pairs
         assert {(a, b) for b, row in bwd.items() for a in row} == pairs
         assert all(row for row in list(fwd.values()) + list(bwd.values()))
+    for rows, masks in ((c.impco_succ, c.impco_above),
+                        (c.impco_pred, c.impco_below)):
+        assert masks == {s.bit: sum(t.bit for t in row)
+                         for s, row in rows.items()}

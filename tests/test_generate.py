@@ -207,7 +207,7 @@ def _saturate(seeds, inits):
     """Every (i, j, conditions) the gathering rule derives from the seeds,
     with no dominance: the unions saturated without the not-ecSet
     suppression."""
-    state = {tuple(a) for a in seeds}
+    state = {(a.source, a.target, a.conditions) for a in seeds}
     inits_from = defaultdict(list)
     for init in inits:
         inits_from[init.source].append((init.target, init.extra))
@@ -255,8 +255,8 @@ def test_gathering_keeps_the_minimal_sets_of_the_saturation(seed, acyclic):
         buckets[(i, j, conds & cyclic)].append(conds)
     minimal = {(i, j, x) for (i, j, _), sets in buckets.items()
                for x in sets if not any(y < x for y in sets)}
-    assert {tuple(a) for a in gather_transitive(seeds, inits, cyclic)} == \
-        minimal
+    gathered = gather_transitive(seeds, inits, sum(s.bit for s in cyclic))
+    assert {(a.source, a.target, a.conditions) for a in gathered} == minimal
 
 
 @settings(max_examples=100, deadline=None)

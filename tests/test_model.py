@@ -47,8 +47,14 @@ def test_conditions_are_a_frozenset_of_any_iterable(others):
     (atom,) = atoms
     assert atom.conditions == frozenset(members)
     assert type(atom.conditions) is frozenset
+    # the mask holds each member's bit once, and decodes back to the members
+    assert atom.mask == sum(s.bit for s in frozenset(members))
+    assert atom._replace(mask=atom.mask) == atom
+    assert ExplanationAtom(a, d, atom.conditions) == atom
     with pytest.raises(ValueError):
         ExplanationAtom(a, d, others)
+    with pytest.raises(ValueError):
+        atom._replace(mask=atom.mask & ~a.bit)
 
 
 def test_empty_condition_set_rejected():
@@ -181,8 +187,7 @@ def test_equal_values_are_one_object_and_read_only():
     assert repr(Literal(a, False)) == (
         "Literal(atom=Symbol(name='alpha', args=None), positive=False)")
     assert repr(ExplanationAtom(a, b, (a,))) == (
-        "ExplanationAtom(source=%r, target=%r, conditions=frozenset({%r}))"
-        % (a, b, a))
+        "ExplanationAtom(source=%r, target=%r, mask=%r)" % (a, b, a.bit))
     for value, field in [(sym("at", "x"), "name"), (sym("y"), "_text"),
                          (CausalAtom(a, b), "cause"), (OntAtom(a, b), "sub"),
                          (Literal(a), "positive"),
@@ -196,7 +201,7 @@ def test_equal_values_are_one_object_and_read_only():
 
 
 @pytest.mark.parametrize("value, change", [
-    (ExplanationAtom(a, b, (a,)), {"conditions": (b,)}),
+    (ExplanationAtom(a, b, (a,)), {"mask": b.bit}),
     (Clause(frozenset({Literal(a)})), {"literals": frozenset()}),
     (ObjectOntAtom("x", "y"), {"super": "x"}),
     (KindDeclarations(onekind=frozenset({"p"})),
@@ -212,18 +217,23 @@ def test_replace_checks_the_invariants_the_constructor_checks(value, change):
 
 def test_unpickled_values_are_the_objects_of_a_fresh_process():
     # a pickle re-interns, so in a process with another hash seed the
-    # unpickled atom holds that process's own symbol objects
+    # unpickled atom holds that process's own symbol objects; the child
+    # interns other symbols first, so its symbol numbers differ too
     atom = ExplanationAtom(sym("at", "x"), b, (sym("at", "x"),))
     code = ("import pickle, sys; from causalexpl.model import sym; "
+            "[sym('pad%%d' %% n) for n in range(%d)]; "
             "atom = pickle.loads(sys.stdin.buffer.read()); "
             "assert atom.source is sym('at', 'x'); "
             "assert atom.conditions == {atom.source}; "
+            "assert atom.mask == atom.source.bit != %d; "
             "assert atom.target is sym('beta'); "
             "assert hash(atom) == hash(tuple(atom)); "
-            "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1")
-    for seed in ("1", "2"):
+            "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1"
+            % (atom.mask.bit_length(), atom.mask))
+    for seed, protocol in (("1", 0), ("2", pickle.HIGHEST_PROTOCOL)):
         proc = subprocess.run(
-            [sys.executable, "-c", code], input=pickle.dumps(atom),
+            [sys.executable, "-c", code],
+            input=pickle.dumps(atom, protocol=protocol),
             env=dict(os.environ, PYTHONHASHSEED=seed,
                      PYTHONPATH=os.pathsep.join(sys.path)),
             capture_output=True)

@@ -1,6 +1,5 @@
-"""Optimizer stage: subset pruning and element-wise entailment subsumption."""
-import collections
-import importlib
+"""Optimizer stage: one-way element-wise entailment, which also drops
+strict supersets."""
 import random
 
 from hypothesis import given, settings
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
 from causalexpl.model import CausalAtom, ExplanationAtom, Theory, sym
-from causalexpl.optimize import (_bits, _Group, _pairs,
-                                 entailment_subsumption, optimize,
-                                 prune_supersets)
-from conftest import atom_keys, chain_theory, random_theory
+from causalexpl.optimize import optimize
+from conftest import atom_keys, random_theory
 
 
 def _conds(*names):
@@ -29,41 +26,24 @@ def _closures(*causal):
         CausalAtom(sym(a), sym(b)) for a, b in causal)))
 
 
-def _prune_supersets(atoms):
-    """The atoms the per-group superset kernel keeps, over all groups."""
-    return frozenset(g.atoms[n] for g in map(_Group, _pairs(atoms))
-                     for n in _bits(prune_supersets(g)))
-
-
-def _entailment_subsumption(atoms, c):
-    """The atoms the per-group entailment kernel keeps when every atom of
-    a group is a candidate."""
-    return frozenset(
-        g.atoms[n] for g in map(_Group, _pairs(atoms))
-        for n in _bits(entailment_subsumption(
-            g, (1 << len(g.atoms)) - 1, c.impco_succ)))
-
-
-def test_superset_pruning_keeps_smaller_path(diagram):
+def test_superset_pruning_keeps_smaller_path():
     a, d = sym("alpha"), sym("delta")
     atoms = _atoms((a, d, _conds("alpha", "gamma1")),
                    (a, d, _conds("alpha", "beta1", "gamma1")))
-    assert atom_keys(_prune_supersets(atoms)) == {
+    assert atom_keys(optimize(atoms, _closures())) == {
         (a, d, _conds("alpha", "gamma1"))}
 
 
 def test_superset_pruning_only_within_same_pair():
     atoms = _atoms((sym("a"), sym("x"), _conds("a")),
                    (sym("a"), sym("y"), _conds("a", "b")))
-    assert _prune_supersets(atoms) == atoms
+    assert optimize(atoms, _closures()) == atoms
 
 
 def test_incomparable_sets_both_kept():
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
-    assert _prune_supersets(atoms) == atoms
-    assert atom_keys(_entailment_subsumption(atoms, _closures())) == \
-        atom_keys(atoms)
+    assert optimize(atoms, _closures()) == atoms
 
 
 def test_one_way_domination_drops_stronger_set():
@@ -71,7 +51,7 @@ def test_one_way_domination_drops_stronger_set():
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
     c = _closures(("b", "c"))
-    assert atom_keys(_entailment_subsumption(atoms, c)) == {
+    assert atom_keys(optimize(atoms, c)) == {
         (sym("a"), sym("x"), _conds("a", "c"))}
 
 
@@ -79,7 +59,7 @@ def test_mutual_domination_keeps_both():
     atoms = _atoms((sym("a"), sym("x"), _conds("a", "b")),
                    (sym("a"), sym("x"), _conds("a", "c")))
     c = _closures(("b", "c"), ("c", "b"))
-    assert atom_keys(_entailment_subsumption(atoms, c)) == atom_keys(atoms)
+    assert optimize(atoms, c) == atoms
 
 
 def test_pruning_mini_theory_keeps_weaker_explanation(pruning_mini):
@@ -104,27 +84,6 @@ def test_empty_and_singleton():
     assert optimize(frozenset(), _closures()) == frozenset()
     single = _atoms((sym("a"), sym("x"), _conds("a")))
     assert atom_keys(optimize(single, _closures())) == atom_keys(single)
-
-
-def test_optimize_interns_each_group_once(monkeypatch):
-    optimize_module = importlib.import_module("causalexpl.optimize")
-    t = chain_theory(1)
-    c = compute_closures(t)
-    generated = generate(t, c)
-    built = []
-
-    class CountingGroup(optimize_module._Group):
-        def __init__(self, atoms):
-            built.append((atoms[0].source, atoms[0].target))
-            super().__init__(atoms)
-
-    monkeypatch.setattr(optimize_module, "_Group", CountingGroup)
-    optimize(generated, c)
-    sizes = collections.Counter((a.source, a.target) for a in generated)
-    # a lone atom has no sibling to prune against, so its group is not
-    # interned; the test needs both kinds of group
-    assert 1 in sizes.values() and max(sizes.values()) > 1
-    assert sorted(built) == sorted(pair for pair, n in sizes.items() if n > 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,8 +25,10 @@ from conftest import FIG_TEXT
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# the guarded double-ontology seed; generate seeds from ecinit_full alone
-DELETED = {"generate.ecinit_double_ontology"}
+# the guarded double-ontology seed, since generate seeds from ecinit_full
+# alone; and the per-group optimiser passes, since optimize is one pass
+DELETED = {"generate.ecinit_double_ontology", "optimize.prune_supersets",
+           "optimize.entailment_subsumption"}
 
 
 def _tracing_module():

@@ -56,25 +56,25 @@ def reference_doc(result, config):
     return doc
 
 
-def _body(source, target, conditions):
-    return "%s,%s,{%s}" % (source, target,
-                           ",".join(sorted(str(s) for s in conditions)))
+def _body(atom):
+    return "%s,%s,{%s}" % (atom.source, atom.target,
+                           ",".join(sorted(str(s) for s in atom.conditions)))
 
 
 def reference_text(result, config):
     lines = []
     for section in STAGE_SECTIONS:
         if config.stage in section.stages or config.oracle:
-            lines += ["%s(%s)." % (section.functor, _body(*a)) for a in
+            lines += ["%s(%s)." % (section.functor, _body(a)) for a in
                       sorted(getattr(result, section.field),
                              key=atom_sort_key)]
     if config.stage in ("verify", "all") and not config.oracle:
         for index in sorted(result.verified):
-            lines += ["explVer(%d,%s)." % (index, _body(*a)) for a in
+            lines += ["explVer(%d,%s)." % (index, _body(a)) for a in
                       sorted(result.verified[index], key=atom_sort_key)]
         for a in sorted(result.verdicts, key=atom_sort_key):
-            lines += ["brave(%s)." % _body(*a)] + \
-                (["cautious(%s)." % _body(*a)]
+            lines += ["brave(%s)." % _body(a)] + \
+                (["cautious(%s)." % _body(a)]
                  if len(result.verdicts[a]) == len(result.worlds) else [])
     return "\n".join(lines) + ("\n" if lines else "")
 
