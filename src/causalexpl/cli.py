@@ -17,7 +17,8 @@ some world is brave, and cautious too when that set holds every world.  Both
 report writers sort the reported atoms once (model.ranked_atoms); each stage
 section, distinct verified set and verdict lists positions in that one
 order (a world those of its verified set), and text output formats each
-atom's body once, JSON output its "from", "to" and "conditions".  Atoms
+atom's body once, JSON output its "from", "to" and "conditions", from the
+texts its sort key holds.  Atoms
 verified in the same worlds share one verdict.  The report is written to
 its stream in slices.
 
@@ -34,11 +35,11 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .closure import compute_closures
+from .closure import compute_closures, impco_closure
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Theory, atom_body, condition_texts,
-                    ranked_atoms, symbol_universe, validate_theory)
+from .model import (ExplanationAtom, Theory, atom_body, ranked_atoms,
+                    symbol_universe, validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
@@ -116,11 +117,11 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
             closures[base] = compute_closures(t)
         return closures[base]
 
-    if config.oracle:
+    if config.oracle:  # shares no closure index with the pipeline
         from .oracle import derive_all, optimal_subset
         result.generated = derive_all(t, max_symbols=20)
-        result.optimal = optimal_subset(result.generated,
-                                        base_closures().impco)
+        result.optimal = optimal_subset(result.generated, impco_closure(
+            t.causal, t.ontology, symbol_universe(t)[1]))
         return result
 
     # a stage's atoms come from stage input when it holds them, otherwise
@@ -160,7 +161,7 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
             known = optimal_by_causal[world.causal] = with_mask(
                 optimize(generate(t.with_causal(world.causal), c), c))
         atoms, mentioned = known
-        pair = (atoms, mentioned & world.false_mask())
+        pair = (atoms, mentioned & world.false)
         verified = verified_by_pair.get(pair)
         if verified is None:
             verified = verify(atoms, world)
@@ -174,8 +175,8 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
 # -- rendering ----------------------------------------------------------------
 
 def _ranked(result: RunResult, config: RunConfig):
-    """(sections, verifies, order, ranks): the stage sections the run emits
-    (the oracle emits both), whether it emits worlds and verdicts, and
+    """(sections, verifies, order, keys, ranks): the stage sections the run
+    emits (the oracle emits both), whether it emits worlds and verdicts, and
     ranked_atoms over every reported atom, grouped by section field, by
     distinct verified set (a world's ranks are those of its set) and under
     "verdicts"."""
@@ -195,8 +196,8 @@ def render_text(result: RunResult, config: RunConfig) -> str:
     """The fact-file report, appended to one list of chunks and joined
     once: each line is its head, its atom's body and ").\n", every body
     written once and every head once per functor or world."""
-    sections, verifies, order, ranks = _ranked(result, config)
-    bodies = [atom_body(atom) for atom in order]
+    sections, verifies, order, keys, ranks = _ranked(result, config)
+    bodies = list(map(atom_body, keys))
     out: List[str] = []
     for section in sections:
         head = section.functor + "("
@@ -244,13 +245,14 @@ _OBJECT, _KEY = " " * 4, " " * 6
 _KEY_LINE, _CLOSE = ",\n" + _KEY, "\n" + _OBJECT + "}"
 
 
-def _atom_head(atom: ExplanationAtom) -> str:
-    """An atom's object at depth 2 up to its "conditions"; the keys of the
-    place it is written in and the closing brace follow."""
+def _atom_head(key: tuple) -> str:
+    """The object at depth 2, up to its "conditions", of the atom whose
+    atom_sort_key is key; the keys of the place it is written in and the
+    closing brace follow."""
+    source, target, conditions = key
     out = ['{\n%s"from": %s%s"to": %s%s"conditions": ' % (
-        _KEY, _quote(str(atom.source)), _KEY_LINE, _quote(str(atom.target)),
-        _KEY_LINE)]
-    _items(map(_quote, condition_texts(atom)), _KEY, out)
+        _KEY, _quote(source), _KEY_LINE, _quote(target), _KEY_LINE)]
+    _items(map(_quote, conditions), _KEY, out)
     return "".join(out)
 
 
@@ -260,8 +262,8 @@ def render_json(result: RunResult, config: RunConfig) -> str:
     "conditions" are written once, as its head; a verified atom's block, a
     fact's text and a world's index are written once and spliced into
     every world or verdict that lists them."""
-    sections, verifies, order, ranks = _ranked(result, config)
-    heads = [_atom_head(atom) for atom in order]
+    sections, verifies, order, keys, ranks = _ranked(result, config)
+    heads = list(map(_atom_head, keys))
     out = ['{\n  "stage": ', _quote(config.stage)]
     if result.warnings:
         out.append(',\n  "warnings": ')

@@ -3,12 +3,15 @@
 ontt   -- transitive closure of the IS-A links
 impco  -- implication induced by causal + ontological atoms, reflexive on
           symbolE and transitively closed
+
+ont_closure and impco_closure give each as pairs; the closure index
+(compute_closures) keeps ontt as symbol rows and impco as mask rows.
 """
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from types import MappingProxyType
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from .model import CausalAtom, OntAtom, Symbol, Theory, symbol_universe
 
@@ -29,15 +32,30 @@ def relation_rows(pairs: Iterable[Pair]) -> Tuple[Rows, Rows]:
 
 
 class ClosureRelations(namedtuple("ClosureRelations", (
-        "ontt", "impco",
         "ontt_supers",      # sub -> supers
         "ontt_subs",        # super -> subs
-        "impco_succ", "impco_pred",
         "impco_above",      # bit -> mask of the symbols it implies
         "impco_below"))):   # bit -> mask of the symbols implying it
-    """The one closure index of a theory: every stage reads its pair sets
-    and their rows, which derive from the pairs."""
+    """The one closure index of a theory, built once per causal set: a
+    symbol (or bit) with no pair has no row."""
     __slots__ = ()
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as an int."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _implied(mask: int, rows: Mapping[int, int]) -> int:
+    """The OR of the rows of mask's bits: with impco_above, the symbols
+    that some member of mask impco-implies."""
+    out = 0
+    for low in _bits(mask):
+        out |= rows.get(low, 0)
+    return out
 
 
 def _reachability(edges: Iterable[Pair]) -> PairSet:
@@ -74,10 +92,10 @@ def impco_closure(causal: Iterable[CausalAtom], ontology: Iterable[OntAtom],
 
 def compute_closures(t: Theory) -> ClosureRelations:
     _, symbol_e = symbol_universe(t)
-    impco = impco_closure(t.causal, t.ontology, symbol_e)
-    ontt = ont_closure(t.ontology)
-    rows = relation_rows(impco)
-    # the same rows as masks: a symbol's bit -> the OR of its row's bits
-    masks = (MappingProxyType({s.bit: sum(t.bit for t in row)
-                               for s, row in fwd.items()}) for fwd in rows)
-    return ClosureRelations(ontt, impco, *relation_rows(ontt), *rows, *masks)
+    above, below = defaultdict(int), defaultdict(int)
+    for a, b in impco_closure(t.causal, t.ontology, symbol_e):
+        above[a.bit] |= b.bit
+        below[b.bit] |= a.bit
+    return ClosureRelations(*relation_rows(ont_closure(t.ontology)),
+                            MappingProxyType(dict(above)),
+                            MappingProxyType(dict(below)))

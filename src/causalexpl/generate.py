@@ -36,11 +36,12 @@ def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]
     out: Set[InitialExplanation] = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
+        implied = c.impco_above[i.bit]  # i is in symbolE, so it has a row
         out.add(InitialExplanation(i, x, i))
         out.update(InitialExplanation(i, j, i)
                    for j in c.ontt_supers.get(x, ()))
         for e in c.ontt_subs.get(x, ()):
-            if (i, e) in c.impco:
+            if implied & e.bit:
                 out.add(InitialExplanation(i, e, i))
                 out.update(InitialExplanation(i, j, i)
                            for j in c.ontt_supers.get(e, ()))

@@ -3,10 +3,11 @@
 All values are immutable; a validated theory can be shared freely between
 pipeline runs.  Symbols, causal and ontological atoms and literals are
 interned, one object per value, and every other value is a tuple, so
-hashing and comparing them runs in C.  Each symbol gets one bit of a
-process-wide numbering when it is interned, and a condition set is the int
-mask of its members' bits from generation to verification; it is decoded to
-symbols or text only at the public boundary and where text is written.
+hashing and comparing them runs in C.  Each symbol and causal atom gets one
+bit of a process-wide numbering when it is interned.  A condition set is the
+int mask of its members' bits from generation to verification, and a
+world's truth assignment is a pair of masks; a mask is decoded to symbols or
+text only at the public boundary and where text is written.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ import functools
 from collections import namedtuple
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
                     Optional, Tuple, Union)
+
+
+# the symbol or causal atom of each process-wide number, and its text
+_numbered: List = []
+_numbered_texts: List[str] = []
 
 
 class _Interned:
@@ -59,14 +65,12 @@ class Symbol(_Interned):
     not identity: Symbol("[at,x]") is flat and not sym("at", "x").
 
     ``bit`` is ``1 << n`` for the symbol's number n, given in the order the
-    process interns symbols, so it differs between processes; a pickle
-    holds the name and arguments, not the number.
+    process interns symbols and causal atoms, so it differs between
+    processes; a pickle holds the name and arguments, not the number.
     """
     __slots__ = ("name", "args", "_text", "bit")
     _fields = ("name", "args")
     _table: dict = {}
-    _numbered: List["Symbol"] = []  # the symbol of each number
-    _numbered_texts: List[str] = []  # and its text
 
     def __new__(cls, name: str, args: Optional[Tuple[str, ...]] = None):
         s = cls._table.get((name, args))
@@ -76,9 +80,9 @@ class Symbol(_Interned):
             raise ValueError("symbol name must be non-empty")
         text = (name if args is None
                 else "[" + ",".join((name,) + args) + "]")
-        s = cls._intern(name, args, text, 1 << len(cls._numbered))
-        cls._numbered.append(s)
-        cls._numbered_texts.append(text)
+        s = cls._intern(name, args, text, 1 << len(_numbered))
+        _numbered.append(s)
+        _numbered_texts.append(text)
         return s
 
     @property
@@ -100,12 +104,18 @@ def sym(name: str, *args: str) -> Symbol:
 
 
 class CausalAtom(_Interned):
-    __slots__ = _fields = ("cause", "effect")
+    """cause(cause, effect); its ``bit`` is numbered with the symbols'."""
+    __slots__ = ("cause", "effect", "bit")
+    _fields = ("cause", "effect")
     _table: dict = {}
 
     def __new__(cls, cause: Symbol, effect: Symbol):
-        return (cls._table.get((cause, effect))
-                or cls._intern(cause, effect))
+        ca = cls._table.get((cause, effect))
+        if ca is None:
+            ca = cls._intern(cause, effect, 1 << len(_numbered))
+            _numbered.append(ca)
+            _numbered_texts.append(str(ca))
+        return ca
 
     def __str__(self) -> str:
         return "cause(%s,%s)" % (self.cause, self.effect)
@@ -148,10 +158,6 @@ class Literal(_Interned):
     __str__ = render
 
 
-def _literal_key(lit: Literal) -> tuple:
-    return (lit.render(),)
-
-
 @classmethod
 def checked_make(cls, iterable):
     """A namedtuple's ``_make`` (which ``_replace`` calls) through the
@@ -174,7 +180,7 @@ class Clause(namedtuple("Clause", "literals")):
         return tuple.__new__(cls, (literals,))
 
     def sorted_literals(self) -> Tuple[Literal, ...]:
-        return tuple(sorted(self.literals, key=_literal_key))
+        return tuple(sorted(self.literals, key=str))
 
     def is_tautology(self) -> bool:
         return any(lit.negated() in self.literals for lit in self.literals)
@@ -187,7 +193,7 @@ class Clause(namedtuple("Clause", "literals")):
 
 
 def _members(mask: int, numbered: List) -> List:
-    """The items of numbered (indexed by symbol number) at mask's bits."""
+    """The items of numbered (indexed by number) at mask's bits."""
     out = []
     while mask:
         n = mask.bit_length() - 1
@@ -226,23 +232,24 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
 
     @property
     def conditions(self) -> FrozenSet[Symbol]:
-        return frozenset(_members(self.mask, Symbol._numbered))
+        return frozenset(_members(self.mask, _numbered))
 
     def render(self) -> str:
-        return "ecSet(%s)" % atom_body(self)
+        return "ecSet(%s)" % atom_body(atom_sort_key(self))
 
     __str__ = render
 
 
 def condition_texts(atom: ExplanationAtom) -> List[str]:
     """The texts of an atom's conditions, in the order they are written."""
-    return sorted(_members(atom.mask, Symbol._numbered_texts))
+    return sorted(_members(atom.mask, _numbered_texts))
 
 
-def atom_body(atom: ExplanationAtom) -> str:
-    """The arguments of an atom's fact-file statement: ``i,j,{a,b}``."""
-    return "%s,%s,{%s}" % (atom.source, atom.target,
-                           ",".join(condition_texts(atom)))
+def atom_body(key: tuple) -> str:
+    """The arguments ``i,j,{a,b}`` of the fact-file statement of the atom
+    whose atom_sort_key is key."""
+    source, target, conditions = key
+    return "%s,%s,{%s}" % (source, target, ",".join(conditions))
 
 
 def atom_sort_key(atom: ExplanationAtom) -> tuple:
@@ -251,14 +258,16 @@ def atom_sort_key(atom: ExplanationAtom) -> tuple:
 
 
 def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
-                 ) -> Tuple[List[ExplanationAtom], Dict[Hashable, List[int]]]:
-    """(order, ranks): the distinct atoms of all groups sorted once by
-    atom_sort_key, and each group's atoms as ascending positions in that
-    order, so group k in emission order is [order[r] for r in ranks[k]]."""
-    order = sorted(set().union(*groups.values()), key=atom_sort_key)
+                 ) -> Tuple[List[ExplanationAtom], List[tuple], Dict]:
+    """(order, keys, ranks): the distinct atoms of all groups sorted once
+    by atom_sort_key, their keys in that order, for the writers to reuse,
+    and each group's atoms as ascending positions in that order, so group k
+    in emission order is [order[r] for r in ranks[k]]."""
+    keys = {atom: atom_sort_key(atom) for atom in set().union(*groups.values())}
+    order = sorted(keys, key=keys.__getitem__)
     rank = {atom: r for r, atom in enumerate(order)}
-    return order, {i: sorted(map(rank.__getitem__, atoms))
-                   for i, atoms in groups.items()}
+    return order, list(map(keys.__getitem__, order)), {
+        i: sorted(map(rank.__getitem__, atoms)) for i, atoms in groups.items()}
 
 
 class Theory(namedtuple("Theory", (
@@ -342,7 +351,9 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
         if clause.is_tautology():
             report.warnings.append("tautology dropped: %s" % (clause,))
     for lit in t.facts:
-        if lit.negated() in t.facts:
+        # a positive causal fact is held in t.causal
+        if lit.negated() in t.facts or (not lit.positive
+                                        and lit.atom in t.causal):
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
     from .closure import ont_closure  # closure imports this module

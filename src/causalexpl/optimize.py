@@ -10,26 +10,10 @@ rows (ClosureRelations.impco_above): every test is int arithmetic.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import FrozenSet, Iterator, List, Mapping
+from typing import FrozenSet, List
 
-from .closure import ClosureRelations
+from .closure import ClosureRelations, _bits, _implied
 from .model import ExplanationAtom
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first, each as an int."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _implied(mask: int, above: Mapping[int, int]) -> int:
-    """The mask of the symbols that some member of mask impco-implies."""
-    out = 0
-    for low in _bits(mask):
-        out |= above.get(low, 0)
-    return out
 
 
 def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations

@@ -245,11 +245,12 @@ class _Parser:
         where, value = item[0], item[1]
         if where != "lit":
             where.add(value)
-        elif isinstance(value.atom, CausalAtom) and value.positive:
-            self.sets["causal"].add(value.atom)
-        elif value.negated() in self.sets["facts"]:
+        elif value.negated() in self.sets["facts"] or (
+                not value.positive and value.atom in self.sets["causal"]):
             raise ParseError("contradictory unit facts on %s" % value.atom,
                              line)
+        elif isinstance(value.atom, CausalAtom) and value.positive:
+            self.sets["causal"].add(value.atom)
         else:
             self.sets["facts"].add(value)
 

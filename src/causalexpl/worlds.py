@@ -3,6 +3,10 @@
 A world is one consistent resolution of the disjunctive facts and completion
 choices, analogous to one answer set.  Worlds are regrouped under indices so
 brave (some world) and cautious (all worlds) verdicts can be computed.
+
+Truth is two masks over the process-wide bits of symbols and causal atoms
+(Symbol.bit, CausalAtom.bit): the atoms assigned true and those assigned
+false, an atom in neither being unknown.  A clash is a bit in both.
 """
 from __future__ import annotations
 
@@ -10,9 +14,8 @@ import itertools
 from collections import defaultdict, namedtuple
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .closure import Rows, compute_closures
-from .model import (CausalAtom, Clause, ExplanationAtom, Literal, Symbol,
-                    Theory)
+from .closure import _implied, compute_closures
+from .model import CausalAtom, Clause, ExplanationAtom, Literal, Theory
 
 
 class WorldOverflowError(RuntimeError):
@@ -29,17 +32,11 @@ class InconsistentTheoryError(RuntimeError):
 class World(namedtuple("World", (
         "index",
         "chosen",     # the literals chosen, facts included
-        "truth",      # symbol -> bool; an absent symbol is unknown
-        "causal"))):  # the effective causal atoms
+        "true",       # mask of the symbols and causal atoms assigned true
+        "false",      # and of those assigned false; the rest are unknown
+        "causal"))):  # the effective causal atoms, all of them true
     """One resolution of all choices, with a three-valued truth assignment."""
     __slots__ = ()
-
-    def facts(self) -> Tuple[str, ...]:
-        return tuple(sorted(lit.render() for lit in self.chosen))
-
-    def false_mask(self) -> int:
-        """The OR of the bits (Symbol.bit) of the symbols assigned false."""
-        return sum(s.bit for s, value in self.truth.items() if not value)
 
 
 def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...]]:
@@ -52,108 +49,96 @@ def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...
     return options
 
 
-def _assign_literals(assignment: dict, literals: Iterable[Literal]) -> bool:
-    """Assign each literal; False on conflict (the atoms assigned before it
-    stay, for the caller to undo)."""
-    return all(assignment.setdefault(lit.atom, lit.positive) == lit.positive
-               for lit in literals)
+def _masks(literals: Iterable[Literal]) -> Tuple[int, int]:
+    """The masks of the atoms of the positive and of the negative literals."""
+    return (sum({lit.atom.bit for lit in literals if lit.positive}),
+            sum({lit.atom.bit for lit in literals if not lit.positive}))
 
 
-def propagate_truth(truth: Dict[Symbol, bool], succ: Rows, pred: Rows,
-                    start: int = 0) -> bool:
-    """Forward-close true, backward-close false along impco; False on conflict.
+def propagate_truth(true: int, false: int, above: Mapping[int, int],
+                    below: Mapping[int, int]) -> Tuple[int, int]:
+    """The symbols made true by impco from the true bits, and those made
+    false by impco from the false bits: the OR of the rows of the bits
+    given (ClosureRelations.impco_above for true, impco_below for false).
 
-    succ and pred are impco's rows (ClosureRelations.impco_succ and
-    impco_pred).  impco is transitive, so a single pass over the assigned
-    symbols suffices.  The entries before position start (at most
-    len(truth)), in insertion order, are taken as already closed and only
-    the later ones are read.
-    Entries are only inserted, never changed or removed, so a caller undoes
-    a call by popping truth back to its size before it.
+    impco is transitive, so one step closes the bits given; a caller with
+    a closed assignment passes only the bits it added since.
     """
-    # read from the end, so the cost is in the entries read, not in start
-    unread = itertools.islice(reversed(truth.items()), len(truth) - start)
-    for s, value in reversed(list(unread)):
-        targets = succ.get(s, ()) if value else pred.get(s, ())
-        for other in targets:
-            if truth.setdefault(other, value) != value:
-                return False
-    return True
-
-
-def _clause_violated(clause: Clause, truth: Mapping[Symbol, bool],
-                     causal_truth: Mapping[CausalAtom, bool]) -> bool:
-    """Three-valued check: violated iff every literal is assigned false."""
-    for lit in clause.literals:
-        table = causal_truth if isinstance(lit.atom, CausalAtom) else truth
-        value = table.get(lit.atom)
-        if value is None or value == lit.positive:
-            return False
-    return True
+    return _implied(true, above), _implied(false, below)
 
 
 def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
-                        closures: dict):
-    """Yield (option indices, assignment, causal set) for every choice of one
-    option per axis that, with t's facts and their consequences along impco,
-    assigns no atom both values.
+                        fixed: int, closures: dict):
+    """Yield (option indices, true, false, causal set) for every choice of
+    one option per axis that, with t's facts and their consequences along
+    impco, assigns no atom both values.
 
     The walk is depth-first and visits choices in itertools.product order; a
     branch is dropped as soon as an option clashes with a fact or an earlier
-    assignment.  Depth fixed is 1 + the index of the last axis that holds a
-    causal literal (0 if none): from there on no axis can change the causal
-    set.  A branch that reaches it without a clash computes its causal set,
-    which gets its entry in closures if it has none, and propagates the
-    whole assignment along that set's impco; at each deeper depth only the
-    entries that depth added are propagated, so a branch dies at its first
-    propagated clash.  Each depth undoes its option, and the propagation
-    after it, by popping the assignment back to the size it had before.
-    The yielded causal set is the closures key for that set, one object per
-    set.  The assignment maps every chosen and propagated atom to its value;
-    it is shared between yields, so read it before resuming the walk.
+    choice.  The first fixed axes are those that hold a causal literal, so
+    from depth fixed on no axis can change the causal set.  A branch that
+    reaches it without a clash computes its causal set, which gets its
+    entry in closures if it has none, makes its atoms true and propagates
+    the whole assignment along that set's impco; at each deeper depth only
+    the bits that depth added are propagated, so a branch dies at its first
+    propagated clash.  Each depth keeps the masks it was reached with, and
+    restores them before its next option.  The yielded causal set is the
+    closures key for that set, one object per set.
     """
-    assignment: dict = {}
-    if not _assign_literals(assignment, t.facts):
+    true, false = _masks(t.facts)
+    if true & false:
         return
     n = len(axes)
-    fixed = max((i + 1 for i, axis in enumerate(axes) for option in axis
-                 for lit in option if isinstance(lit.atom, CausalAtom)),
-                default=0)
-    keys = {causal: causal for causal in closures}
-    marks = [0] * n     # assignment size before each depth's option
-    tried = [0] * n     # options tried per depth
+    options = [[_masks(option) for option in axis] for axis in axes]
+    # a branch holds t's causal atoms unless assigned false, and any other
+    # causal atom when assigned true
+    base = sum(ca.bit for ca in t.causal)
+    literals = t.facts.union(*(option for axis in axes for option in axis))
+    causal_atoms = t.causal.union(lit.atom for lit in literals
+                                  if isinstance(lit.atom, CausalAtom))
+    every = sum(ca.bit for ca in causal_atoms)
+    keys = {sum(ca.bit for ca in causal): causal for causal in closures}
+    reached = [(0, 0)] * n   # the masks each depth was reached with
+    tried = [0] * n          # options tried per depth
     depth, arrived = 0, True
     while depth >= 0:
         if arrived:     # every depth before this one holds an option
             arrived = False
-            if depth == fixed:
-                causal = frozenset(ca for ca in t.causal.union(
-                    a for a in assignment if isinstance(a, CausalAtom))
-                    if assignment.get(ca, True))
-                causal = keys.setdefault(causal, causal)
-                c = closures.get(causal)
-                if c is None:
-                    c = closures[causal] = compute_closures(
-                        t.with_causal(causal))
-            if depth >= fixed and not propagate_truth(
-                    assignment, c.impco_succ, c.impco_pred,
-                    marks[depth - 1] if depth > fixed else 0):
-                depth -= 1
-                continue
+            if depth >= fixed:
+                if depth == fixed:
+                    mask = base & ~false | true & every
+                    causal = keys.get(mask)
+                    if causal is None:
+                        causal = keys[mask] = frozenset(
+                            ca for ca in causal_atoms if ca.bit & mask)
+                    c = closures.get(causal)
+                    if c is None:
+                        c = closures[causal] = compute_closures(
+                            t.with_causal(causal))
+                    true |= mask
+                    before = (0, 0)     # propagate the whole masks
+                else:
+                    before = reached[depth - 1]
+                up, down = propagate_truth(true ^ before[0], false ^ before[1],
+                                           c.impco_above, c.impco_below)
+                true, false = true | up, false | down
+                if true & false:
+                    depth -= 1
+                    continue
             if depth == n:
-                yield [tried[i] - 1 for i in range(n)], assignment, causal
+                yield [tried[i] - 1 for i in range(n)], true, false, causal
                 depth -= 1
                 continue
-            marks[depth] = len(assignment)
-        while len(assignment) > marks[depth]:
-            assignment.popitem()
-        if tried[depth] == len(axes[depth]):
+            reached[depth] = (true, false)
+        true, false = reached[depth]
+        if tried[depth] == len(options[depth]):
             tried[depth] = 0
             depth -= 1
             continue
-        option = axes[depth][tried[depth]]
+        option_true, option_false = options[depth][tried[depth]]
         tried[depth] += 1
-        if _assign_literals(assignment, option):
+        if not (true | option_true) & (false | option_false):
+            true, false = true | option_true, false | option_false
             depth, arrived = depth + 1, True
 
 
@@ -167,15 +152,16 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     a causal literal first, so that it fixes the causal set early and
     propagates truth from there on; the surviving worlds are then sorted by
     their option on each canonical axis and numbered in that order, which
-    is itertools.product order over the canonical axes.
+    is itertools.product order over the canonical axes.  A world is dropped
+    when a clause has every positive atom false and every negative atom
+    true.
 
     closures maps a causal set to the ClosureRelations of t with that causal
     set.  Entries already present are used; a missing one is built once, for
     the caller to reuse, when a branch first reaches without a clash the
     depth after which no axis can change its causal set.  Worlds on one
-    causal set hold its closures key, and worlds with equal truth hold one
-    dict.  Raises WorldOverflowError as soon as more than max_worlds worlds
-    survive.
+    causal set hold its closures key.  Raises WorldOverflowError as soon as
+    more than max_worlds worlds survive.
     """
     if closures is None:
         closures = {}
@@ -186,20 +172,16 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         axes.append([(Literal(atom, True),), (Literal(atom, False),)])
     # the walk order: axes holding a causal literal first, each part in
     # canonical order
-    walk = sorted(range(len(axes)), key=lambda i: not any(
-        isinstance(lit.atom, CausalAtom) for option in axes[i]
-        for lit in option))
+    causal_axis = [any(isinstance(lit.atom, CausalAtom) for option in axis
+                       for lit in option) for axis in axes]
+    walk = sorted(range(len(axes)), key=lambda i: not causal_axis[i])
+    clauses = [_masks(clause.literals) for clause in t.clauses]
 
     survivors = []
-    truths: Dict[FrozenSet, Dict[Symbol, bool]] = {}
-    for options, assignment, causal in _consistent_choices(
-            t, [axes[i] for i in walk], closures):
-        truth: Dict[Symbol, bool] = {}
-        causal_truth: Dict[CausalAtom, bool] = dict.fromkeys(causal, True)
-        for atom, value in assignment.items():
-            table = causal_truth if isinstance(atom, CausalAtom) else truth
-            table[atom] = value
-        if any(_clause_violated(cl, truth, causal_truth) for cl in t.clauses):
+    for options, true, false, causal in _consistent_choices(
+            t, [axes[i] for i in walk], sum(causal_axis), closures):
+        if any(positive & false == positive and negative & true == negative
+               for positive, negative in clauses):
             continue
         if len(survivors) == max_worlds:
             raise WorldOverflowError(max_worlds)
@@ -208,19 +190,17 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         for i, option in zip(walk, options):
             key[i] = option
             chosen.update(axes[i][option])
-        truth = truths.setdefault(frozenset(truth.items()), truth)
-        survivors.append((key, frozenset(chosen), truth, causal))
+        survivors.append((key, frozenset(chosen), true, false, causal))
     survivors.sort(key=lambda s: s[0])
-    return tuple(World(index, chosen, truth, causal) for index, (
-        _, chosen, truth, causal) in enumerate(survivors, 1))
+    return tuple(World(index, *world) for index, (_, *world) in enumerate(
+        survivors, 1))
 
 
 def verify(atoms: Iterable[ExplanationAtom], world: World
            ) -> FrozenSet[ExplanationAtom]:
     """The atoms whose condition set has no member assigned false in the
     world; the same atom objects, not copies."""
-    false = world.false_mask()
-    return frozenset(atom for atom in atoms if not atom.mask & false)
+    return frozenset(atom for atom in atoms if not atom.mask & world.false)
 
 
 def brave_cautious(verified_by_world: Mapping[int, Iterable[ExplanationAtom]],

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from causalexpl.model import CausalAtom, OntAtom, Symbol, Theory
+from causalexpl.closure import impco_closure
+from causalexpl.model import (CausalAtom, OntAtom, Symbol, Theory,
+                              symbol_universe)
 
 FIG_TEXT = """
 % the running-example causal diagram
@@ -102,3 +104,9 @@ def atom_keys(atoms):
     """The atoms as (source, target, sorted conditions) tuples, comparable
     with tuples written out by hand."""
     return {(a.source, a.target, tuple(sorted(a.conditions))) for a in atoms}
+
+
+def impco_pairs(t: Theory):
+    """t's impco as a set of (implying, implied) symbol pairs, computed
+    apart from the closure index (compute_closures keeps only mask rows)."""
+    return impco_closure(t.causal, t.ontology, symbol_universe(t)[1])

@@ -176,6 +176,20 @@ def test_validation_error_exit_1(capsys, tmp_path):
     assert main([str(bad)]) == 1
 
 
+def test_contradictory_causal_facts_in_two_files_exit_1(capsys, tmp_path):
+    # each file parses alone; the merged theory holds cause(a,b) and
+    # -cause(a,b), which no world can hold
+    first, second = tmp_path / "first.lp", tmp_path / "second.lp"
+    first.write_text("cause(a,b).\n")
+    second.write_text("-cause(a,b).\n")
+    assert main([str(first)]) == 0
+    capsys.readouterr()
+    assert main([str(first), str(second)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contradictory unit facts on cause(a,b)\n"
+
+
 def test_world_overflow_exit_2(capsys, tmp_path):
     lines = "".join("true(c%d) v -true(c%d).\n" % (i, i) for i in range(12))
     src = tmp_path / "many.lp"

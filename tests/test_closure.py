@@ -4,9 +4,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalexpl import model
 from causalexpl.closure import compute_closures, impco_closure, ont_closure
 from causalexpl.model import CausalAtom, OntAtom, Symbol, Theory, sym, symbol_universe
-from conftest import random_theory
+from conftest import impco_pairs, random_theory
 
 
 def _bfs_pairs(edges):
@@ -28,27 +29,27 @@ def _bfs_pairs(edges):
 
 
 def test_ontt_diagram_spot_checks(diagram):
-    c = compute_closures(diagram)
+    ontt = ont_closure(diagram.ontology)
     beta1, beta2 = sym("beta1"), sym("beta2")
-    assert (beta1, beta2) in c.ontt                 # via beta
-    assert (sym("gamma2"), sym("gamma3")) in c.ontt
-    assert (beta2, beta1) not in c.ontt
-    assert (sym("gamma2"), sym("epsilon3")) not in c.ontt
+    assert (beta1, beta2) in ontt                 # via beta
+    assert (sym("gamma2"), sym("gamma3")) in ontt
+    assert (beta2, beta1) not in ontt
+    assert (sym("gamma2"), sym("epsilon3")) not in ontt
 
 
 def test_impco_covers_causal_and_ontological_edges(diagram):
-    c = compute_closures(diagram)
-    assert (sym("alpha"), sym("beta")) in c.impco     # causal edge
-    assert (sym("beta1"), sym("beta")) in c.impco     # ontology edge
-    assert (sym("alpha"), sym("gamma")) in c.impco    # mixed path
-    assert (sym("gamma1"), sym("delta")) in c.impco
+    impco = impco_pairs(diagram)
+    assert (sym("alpha"), sym("beta")) in impco     # causal edge
+    assert (sym("beta1"), sym("beta")) in impco     # ontology edge
+    assert (sym("alpha"), sym("gamma")) in impco    # mixed path
+    assert (sym("gamma1"), sym("delta")) in impco
 
 
 def test_impco_reflexive_on_symbol_e(diagram):
     _, symbol_e = symbol_universe(diagram)
-    c = compute_closures(diagram)
+    impco = impco_pairs(diagram)
     for s in symbol_e:
-        assert (s, s) in c.impco
+        assert (s, s) in impco
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,9 +70,8 @@ def test_closures_match_bfs_reachability(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_impco_transitive(seed):
     t = random_theory(random.Random(seed), acyclic=False)
-    c = compute_closures(t)
     succ = {}
-    for i, j in c.impco:
+    for i, j in impco_pairs(t):
         succ.setdefault(i, set()).add(j)
     for i, js in succ.items():
         for j in js:
@@ -83,26 +83,31 @@ def test_impco_transitive(seed):
 def test_closure_monotone_under_added_atoms(seed):
     rng = random.Random(seed)
     t = random_theory(rng, acyclic=False)
-    before = compute_closures(t)
     extra_c = CausalAtom(Symbol("x_new"), Symbol("s0"))
     extra_o = OntAtom(Symbol("y_new"), Symbol("s1"))
     bigger = Theory(causal=t.causal | {extra_c},
                     ontology=t.ontology | {extra_o})
-    after = compute_closures(bigger)
-    assert before.ontt <= after.ontt
-    assert before.impco <= after.impco
+    assert ont_closure(t.ontology) <= ont_closure(bigger.ontology)
+    assert impco_pairs(t) <= impco_pairs(bigger)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rows_hold_exactly_the_pairs(seed):
-    c = compute_closures(random_theory(random.Random(seed), acyclic=False))
-    for pairs, fwd, bwd in ((c.ontt, c.ontt_supers, c.ontt_subs),
-                            (c.impco, c.impco_succ, c.impco_pred)):
-        assert {(a, b) for a, row in fwd.items() for b in row} == pairs
-        assert {(a, b) for b, row in bwd.items() for a in row} == pairs
-        assert all(row for row in list(fwd.values()) + list(bwd.values()))
-    for rows, masks in ((c.impco_succ, c.impco_above),
-                        (c.impco_pred, c.impco_below)):
-        assert masks == {s.bit: sum(t.bit for t in row)
-                         for s, row in rows.items()}
+def _mask_pairs(rows):
+    """Mask rows (bit -> mask) as (row symbol, member symbol) pairs."""
+    return {(model._numbered[bit.bit_length() - 1], member)
+            for bit, mask in rows.items()
+            for member in model._members(mask, model._numbered)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_rows_hold_exactly_the_pairs(seed, acyclic):
+    t = random_theory(random.Random(seed), acyclic=acyclic)
+    c = compute_closures(t)
+    ontt, impco = ont_closure(t.ontology), impco_pairs(t)
+    assert {(a, b) for a, row in c.ontt_supers.items() for b in row} == ontt
+    assert {(a, b) for b, row in c.ontt_subs.items() for a in row} == ontt
+    assert _mask_pairs(c.impco_above) == impco
+    assert {(a, b) for b, a in _mask_pairs(c.impco_below)} == impco
+    # a symbol with no pair has no row
+    for rows in c:
+        assert all(rows.values())

@@ -121,6 +121,15 @@ def test_validate_contradictory_facts_error():
     assert not validate_theory(t).ok
 
 
+def test_validate_contradictory_causal_facts_error():
+    # cause(a,b) is held in causal, -cause(a,b) in facts
+    ab = CausalAtom(a, b)
+    t = Theory(causal=frozenset([ab]), facts=frozenset([Literal(ab, False)]))
+    assert validate_theory(t).errors == [
+        "contradictory unit facts on cause(alpha,beta)"]
+    assert validate_theory(t._replace(causal=frozenset())).ok
+
+
 def test_validate_ontology_cycle_warns():
     t = Theory(ontology=frozenset([OntAtom(a, b), OntAtom(b, a)]))
     report = validate_theory(t)
@@ -218,22 +227,28 @@ def test_replace_checks_the_invariants_the_constructor_checks(value, change):
 def test_unpickled_values_are_the_objects_of_a_fresh_process():
     # a pickle re-interns, so in a process with another hash seed the
     # unpickled atom holds that process's own symbol objects; the child
-    # interns other symbols first, so its symbol numbers differ too
+    # interns other symbols first, so its symbol numbers differ too; a
+    # causal atom takes its number from the same numbering
     atom = ExplanationAtom(sym("at", "x"), b, (sym("at", "x"),))
-    code = ("import pickle, sys; from causalexpl.model import sym; "
+    ca = CausalAtom(b, g)
+    code = ("import pickle, sys; from causalexpl import model; "
+            "from causalexpl.model import CausalAtom, sym; "
             "[sym('pad%%d' %% n) for n in range(%d)]; "
-            "atom = pickle.loads(sys.stdin.buffer.read()); "
+            "atom, ca = pickle.loads(sys.stdin.buffer.read()); "
             "assert atom.source is sym('at', 'x'); "
             "assert atom.conditions == {atom.source}; "
             "assert atom.mask == atom.source.bit != %d; "
             "assert atom.target is sym('beta'); "
             "assert hash(atom) == hash(tuple(atom)); "
-            "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1"
-            % (atom.mask.bit_length(), atom.mask))
+            "assert {atom: 1}[pickle.loads(pickle.dumps(atom))] == 1; "
+            "assert ca is CausalAtom(sym('beta'), sym('gamma')); "
+            "assert ca.bit != %d; "
+            "assert model._numbered[ca.bit.bit_length() - 1] is ca"
+            % (max(atom.mask, ca.bit).bit_length(), atom.mask, ca.bit))
     for seed, protocol in (("1", 0), ("2", pickle.HIGHEST_PROTOCOL)):
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            input=pickle.dumps(atom, protocol=protocol),
+            input=pickle.dumps((atom, ca), protocol=protocol),
             env=dict(os.environ, PYTHONHASHSEED=seed,
                      PYTHONPATH=os.pathsep.join(sys.path)),
             capture_output=True)

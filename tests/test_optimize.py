@@ -9,7 +9,7 @@ from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
 from causalexpl.model import CausalAtom, ExplanationAtom, Theory, sym
 from causalexpl.optimize import optimize
-from conftest import atom_keys, random_theory
+from conftest import atom_keys, impco_pairs, random_theory
 
 
 def _conds(*names):
@@ -91,6 +91,7 @@ def test_empty_and_singleton():
 def test_optimize_properties(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
+    impco = impco_pairs(t)
     generated = generate(t)
     result = optimize(generated, c)
 
@@ -105,7 +106,7 @@ def test_optimize_properties(seed):
         groups.setdefault((atom.source, atom.target), []).append(
             set(atom.conditions))
     def implies(src, dst):
-        return all(any((e1, e2) in c.impco for e1 in src - dst)
+        return all(any((e1, e2) in impco for e1 in src - dst)
                    for e2 in dst - src)
     for sets in groups.values():
         for x in sets:

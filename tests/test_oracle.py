@@ -10,7 +10,7 @@ from causalexpl.generate import generate
 from causalexpl.model import CausalAtom, OntAtom, Theory, sym
 from causalexpl.optimize import optimize
 from causalexpl.oracle import OracleBoundError, derive_all, optimal_subset
-from conftest import atom_keys, random_theory
+from conftest import atom_keys, impco_pairs, random_theory
 
 
 def _conds(*names):
@@ -41,8 +41,8 @@ def test_diagram_derivation_contains_documented_path(diagram):
 
 
 def test_diagram_oracle_optimal_matches_figure(diagram):
-    c = compute_closures(diagram)
-    result = optimal_subset(derive_all(diagram, max_symbols=20), c.impco)
+    impco = impco_pairs(diagram)
+    result = optimal_subset(derive_all(diagram, max_symbols=20), impco)
     group = {cs for s, t, cs in atom_keys(result)
              if (s, t) == (sym("alpha"), sym("delta"))}
     assert group == {_conds("alpha", "gamma1"), _conds("alpha", "gamma2"),
@@ -51,8 +51,8 @@ def test_diagram_oracle_optimal_matches_figure(diagram):
 
 
 def test_pruning_mini_oracle(pruning_mini):
-    c = compute_closures(pruning_mini)
-    result = optimal_subset(derive_all(pruning_mini), c.impco)
+    impco = impco_pairs(pruning_mini)
+    result = optimal_subset(derive_all(pruning_mini), impco)
     group = {cs for s, t, cs in atom_keys(result)
              if (s, t) == (sym("alpha"), sym("gamma"))}
     assert group == {_conds("alpha", "beta1")}
@@ -74,8 +74,9 @@ def test_derive_all_monotone(seed):
 def test_pipeline_matches_oracle_on_acyclic_theories(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
+    impco = impco_pairs(t)
     pipeline = atom_keys(optimize(generate(t), c))
-    oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
+    oracle = atom_keys(optimal_subset(derive_all(t), impco))
     assert pipeline == oracle
 
 
@@ -85,7 +86,7 @@ def test_generation_sound_and_optimal_complete_vs_oracle(seed):
     """Every generated atom is oracle-derivable; every oracle atom is
     dominated-or-matched by some generated sibling."""
     t = random_theory(random.Random(seed))
-    c = compute_closures(t)
+    impco = impco_pairs(t)
     generated = atom_keys(generate(t))
     derivable = atom_keys(derive_all(t))
     assert generated <= derivable
@@ -96,7 +97,7 @@ def test_generation_sound_and_optimal_complete_vs_oracle(seed):
     def covered_by(phi, psi):
         # psi is at least as good as phi: either a subset, or weaker-or-equal
         # element-wise (every extra member of psi follows from one of phi's)
-        return psi <= phi or all(any((e1, e2) in c.impco for e1 in phi - psi)
+        return psi <= phi or all(any((e1, e2) in impco for e1 in phi - psi)
                                  for e2 in psi - phi)
     for i, j, conds in derivable:
         assert any(covered_by(set(conds), psi)
@@ -122,8 +123,9 @@ def test_optimize_matches_optimal_subset_on_all_derivations(seed, acyclic):
     t = random_theory(random.Random(seed), acyclic=acyclic)
     atoms = derive_all(t)
     c = compute_closures(t)
+    impco = impco_pairs(t)
     assert atom_keys(optimize(atoms, c)) == \
-        atom_keys(optimal_subset(atoms, c.impco))
+        atom_keys(optimal_subset(atoms, impco))
 
 
 def _theory(causal, ontology):
@@ -155,8 +157,9 @@ CYCLIC_THEORIES = {
 def test_pipeline_matches_oracle_where_dominance_meets_a_cycle(name):
     t = CYCLIC_THEORIES[name]
     c = compute_closures(t)
+    impco = impco_pairs(t)
     pipeline = atom_keys(optimize(generate(t), c))
-    oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
+    oracle = atom_keys(optimal_subset(derive_all(t), impco))
     assert pipeline == oracle
 
 
@@ -177,6 +180,7 @@ def test_pipeline_matches_oracle_on_a_cyclic_theory():
                             OntAtom(sym("s2"), sym("s0")),
                             OntAtom(sym("s2"), sym("s4"))]))
     c = compute_closures(t)
+    impco = impco_pairs(t)
     pipeline = atom_keys(optimize(generate(t), c))
-    oracle = atom_keys(optimal_subset(derive_all(t), c.impco))
+    oracle = atom_keys(optimal_subset(derive_all(t), impco))
     assert pipeline == oracle

@@ -112,6 +112,14 @@ def test_contradictory_unit_facts_hard_error():
         parse_theory("true(a). -true(a).")
 
 
+@pytest.mark.parametrize("text", ["cause(a,b).\n-cause(a,b).",
+                                  "-cause(a,b).\ncause(a,b)."])
+def test_contradictory_causal_facts_hard_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert str(err.value) == "line 2: contradictory unit facts on cause(a,b)"
+
+
 def test_disjunction_of_one_literal_is_a_unit_fact():
     assert parse_theory("true(a) v true(a).") == parse_theory("true(a).")
     assert parse_theory("cause(c,d) v cause(c,d).") == \

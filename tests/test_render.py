@@ -41,7 +41,7 @@ def reference_doc(result, config):
                 sorted(getattr(result, section.field), key=atom_sort_key)]
     if config.stage in ("verify", "all") and not config.oracle:
         doc["worlds"] = [
-            {"index": w.index, "facts": list(w.facts()),
+            {"index": w.index, "facts": sorted(map(str, w.chosen)),
              "explanations": [_atom_doc(a, "verified") for a in
                               sorted(result.verified.get(w.index, ()),
                                      key=atom_sort_key)]}
@@ -117,7 +117,7 @@ def test_fixed_reports_match_the_reference(name, stage):
     if name == "refuted" and stage in ("verify", "all"):
         assert [len(result.verified[w.index]) for w in result.worlds] == [1, 0]
     if name == "no-facts" and stage in ("verify", "all"):
-        assert [w.facts() for w in result.worlds] == [()]
+        assert [w.chosen for w in result.worlds] == [frozenset()]
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -160,12 +160,11 @@ def test_each_reported_atom_is_sorted_and_formatted_once(monkeypatch,
     reported = set().union(result.generated, result.optimal,
                            *result.verified.values())
     keys = _count_calls(monkeypatch, model.atom_sort_key)
-    bodies = _count_calls(monkeypatch, model.atom_body)
+    decoded = _count_calls(monkeypatch, model.condition_texts)
     render(result, config)
     assert keys == dict.fromkeys(reported, 1)
-    # render_json writes no fact-file bodies
-    assert bodies == (dict.fromkeys(reported, 1) if render is render_text
-                      else {})
+    # a body or JSON head is written from the texts of the atom's sort key
+    assert decoded == dict.fromkeys(reported, 1)
 
 
 def test_worlds_are_ranked_once_per_verified_set(monkeypatch):

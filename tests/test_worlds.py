@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalexpl import cli
+from causalexpl import cli, model
 from causalexpl.closure import (compute_closures, impco_closure,
                                relation_rows)
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
-                              OntAtom, Theory, sym, symbol_universe)
+                              OntAtom, Symbol, Theory, sym, symbol_universe)
 from causalexpl.optimize import optimize
 from causalexpl.parser import StageFacts, parse_input
 from causalexpl.worlds import (InconsistentTheoryError, WorldOverflowError,
@@ -24,20 +24,27 @@ def _clause(*literals):
     return Clause(frozenset(literals))
 
 
+def _value(world, atom):
+    """atom's value in world: True, False, or None when unknown."""
+    if world.true & atom.bit:
+        return True
+    return False if world.false & atom.bit else None
+
+
 def test_no_choices_single_world():
     t = Theory(causal=frozenset([CausalAtom(sym("a"), sym("b"))]),
                facts=frozenset([Literal(sym("a"), True)]))
     worlds = enumerate_worlds(t)
     assert len(worlds) == 1
     assert worlds[0].index == 1
-    assert worlds[0].truth[sym("a")] is True
+    assert _value(worlds[0], sym("a")) is True
 
 
 def test_completion_atom_two_worlds():
     t = Theory(completions=frozenset([sym("a")]))
     worlds = enumerate_worlds(t)
     assert len(worlds) == 2
-    assert {w.truth.get(sym("a")) for w in worlds} == {True, False}
+    assert {_value(w, sym("a")) for w in worlds} == {True, False}
 
 
 def test_disjunctive_fact_exclusive_vs_inclusive():
@@ -89,20 +96,23 @@ def test_overflow_with_more_axes_than_the_recursion_limit():
         enumerate_worlds(Theory(completions=completions), max_worlds=3)
 
 
+def _propagated(true, false, *ontology):
+    """propagate_truth over the impco of the given IS-A links."""
+    c = compute_closures(Theory(ontology=frozenset(
+        OntAtom(sym(a), sym(b)) for a, b in ontology)))
+    return propagate_truth(true, false, c.impco_above, c.impco_below)
+
+
 def test_truth_propagates_forward_and_backward():
-    truth = {sym("beta1"): True}
-    impco = frozenset([(sym("beta1"), sym("beta"))])
-    assert propagate_truth(truth, *relation_rows(impco))
-    assert truth[sym("beta")] is True
-
-    truth = {sym("gamma"): False}
-    impco = frozenset([(sym("gamma1"), sym("gamma"))])
-    assert propagate_truth(truth, *relation_rows(impco))
-    assert truth[sym("gamma1")] is False
-
-    truth = {sym("a"): True, sym("b"): False}
-    impco = frozenset([(sym("a"), sym("b"))])
-    assert not propagate_truth(truth, *relation_rows(impco))
+    beta1, beta, gamma1, gamma = map(sym, ("beta1", "beta", "gamma1", "gamma"))
+    assert _propagated(beta1.bit, 0, ("beta1", "beta")) == (
+        beta1.bit | beta.bit, 0)
+    assert _propagated(0, gamma.bit, ("gamma1", "gamma")) == (
+        0, gamma1.bit | gamma.bit)
+    # true(a) with impco(a, b) makes b true, which clashes with -true(b)
+    a, b = sym("a"), sym("b")
+    up, down = _propagated(a.bit, b.bit, ("a", "b"))
+    assert up & b.bit and (a.bit | up) & (b.bit | down)
 
 
 def test_conflicting_world_discarded():
@@ -112,7 +122,7 @@ def test_conflicting_world_discarded():
                completions=frozenset([sym("a")]))
     worlds = enumerate_worlds(t)
     assert len(worlds) == 1
-    assert worlds[0].truth[sym("a")] is False
+    assert _value(worlds[0], sym("a")) is False
 
 
 def test_clause_violation_three_valued():
@@ -123,8 +133,8 @@ def test_clause_violation_three_valued():
     # the disjunctive fact also generates worlds; with a false and the
     # completion choosing b false, the clause kills that world
     worlds = enumerate_worlds(t)
-    assert all(not (w.truth.get(sym("a")) is False
-                    and w.truth.get(sym("b")) is False) for w in worlds)
+    assert all(not (_value(w, sym("a")) is False
+                    and _value(w, sym("b")) is False) for w in worlds)
 
 
 def test_verify_drops_atoms_with_false_member(diagram):
@@ -200,7 +210,9 @@ def test_negative_fact_monotone(diagram):
 
 def _reference_worlds(t, inclusive):
     """Every combination of itertools.product over the choice axes, each
-    checked on its own: the specification of enumerate_worlds."""
+    checked on its own: the specification of enumerate_worlds.  Truth is a
+    dict, propagated over impco's pairs, and becomes the masks of the true
+    and of the false atoms only at the end."""
     _, symbol_e = symbol_universe(t)
     axes = []
     for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
@@ -225,15 +237,21 @@ def _reference_worlds(t, inclusive):
             if causal_truth.get(ca, True))
         for ca in causal:
             causal_truth[ca] = True
-        impco = impco_closure(causal, t.ontology, symbol_e)
-        if not propagate_truth(truth, *relation_rows(impco)):
+        # impco is transitive: one step from each chosen atom closes truth
+        succ, pred = relation_rows(impco_closure(causal, t.ontology, symbol_e))
+        if any(truth.setdefault(other, value) != value
+               for s, value in list(truth.items())
+               for other in (succ if value else pred).get(s, ())):
             continue
         if any(all((causal_truth if isinstance(lit.atom, CausalAtom)
                     else truth).get(lit.atom) == (not lit.positive)
                    for lit in clause.literals)
                for clause in t.clauses):
             continue
-        worlds.append((len(worlds) + 1, frozenset(chosen), truth, causal))
+        values = {**truth, **causal_truth}
+        worlds.append((len(worlds) + 1, frozenset(chosen),
+                       sum(a.bit for a, v in values.items() if v),
+                       sum(a.bit for a, v in values.items() if not v), causal))
     return worlds
 
 
@@ -271,8 +289,7 @@ def test_enumeration_matches_brute_force(seed, inclusive):
     t = _random_world_theory(random.Random(seed))
     worlds = enumerate_worlds(t, max_worlds=10 ** 6,
                               inclusive_disjunction=inclusive)
-    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
-        _reference_worlds(t, inclusive)
+    assert list(map(tuple, worlds)) == _reference_worlds(t, inclusive)
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,15 +309,16 @@ def test_verify_is_the_three_valued_definition(seed):
     for world in enumerate_worlds(t, max_worlds=10 ** 6):
         assert verify(atoms, world) == frozenset(
             a for a in atoms
-            if not any(world.truth.get(m) is False for m in a.conditions))
+            if not any(_value(world, m) is False for m in a.conditions))
 
 
 def _counting_propagation(monkeypatch):
+    """The (true, false) masks of every propagate_truth call."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[3] if len(args) > 3 else 0)
-        return propagate_truth(*args)
+    def counting(true, false, above, below):
+        calls.append((true, false))
+        return propagate_truth(true, false, above, below)
 
     monkeypatch.setattr("causalexpl.worlds.propagate_truth", counting)
     return calls
@@ -318,8 +336,7 @@ def test_propagated_clash_prunes_the_walk(monkeypatch):
     assert len(calls) <= 100
     monkeypatch.undo()
     assert len(worlds) == 13
-    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
-        _reference_worlds(t, False)
+    assert list(map(tuple, worlds)) == _reference_worlds(t, False)
 
 
 @pytest.mark.parametrize("inclusive", [False, True])
@@ -343,12 +360,15 @@ def test_causal_set_fixed_partway_through_the_walk(monkeypatch, inclusive):
     worlds = enumerate_worlds(t, max_worlds=10 ** 6,
                               inclusive_disjunction=inclusive)
     monkeypatch.undo()
-    assert [(w.index, w.chosen, dict(w.truth), w.causal) for w in worlds] == \
-        _reference_worlds(t, inclusive)
+    assert list(map(tuple, worlds)) == _reference_worlds(t, inclusive)
     assert {w.causal for w in worlds} == {
         frozenset(s) for s in ([cd], [cd, be], [cd, bc], [cd, be, bc])}
-    # whole assignments at the fixing depth, then one call per later option
-    assert 0 in calls and any(calls)
+    # whole masks at the fixing depth, which hold t's causal atom c -> d;
+    # after it, one call per later option with only the atoms it added
+    whole = [true | false for true, false in calls if true & cd.bit]
+    added = [true | false for true, false in calls if not true & cd.bit]
+    assert whole and any(added)
+    assert set(added) <= {0, a.bit | c.bit} | {s.bit for s in (a, b, c, d, e)}
 
 
 def test_pipeline_generates_once_per_causal_set(monkeypatch):
@@ -384,11 +404,11 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
 
 
 def _false_symbols(world):
-    return frozenset(s for s, value in world.truth.items() if not value)
+    return frozenset(s for s in model._members(world.false, model._numbered)
+                     if isinstance(s, Symbol))
 
 
-def test_worlds_share_their_causal_set_and_truth():
-    # x and y are free in both causal sets, so each truth recurs on both
+def test_worlds_share_their_causal_set():
     t = parse_input("cause(a,b). cause(b,c) v -cause(b,c). "
                     "true(x) v -true(x). true(y) v -true(y).").theory
     base = frozenset(t.causal)
@@ -400,11 +420,6 @@ def test_worlds_share_their_causal_set_and_truth():
     assert {w.causal for w in worlds} == set(keys)
     assert all(w.causal is keys[w.causal] for w in worlds)
     assert any(w.causal is base for w in worlds)
-    truths = {}
-    for w in worlds:
-        assert truths.setdefault(frozenset(w.truth.items()), w.truth) \
-            is w.truth
-    assert len(truths) == 4
 
 
 def test_pipeline_verifies_once_per_atom_set_and_relevant_false_symbols(
