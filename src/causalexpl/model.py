@@ -240,9 +240,9 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
     __str__ = render
 
 
-def condition_texts(atom: ExplanationAtom) -> List[str]:
+def condition_texts(atom: ExplanationAtom) -> Tuple[str, ...]:
     """The texts of an atom's conditions, in the order they are written."""
-    return sorted(_members(atom.mask, _numbered_texts))
+    return tuple(sorted(_members(atom.mask, _numbered_texts)))
 
 
 def atom_body(key: tuple) -> str:

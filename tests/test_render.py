@@ -159,12 +159,17 @@ def test_each_reported_atom_is_sorted_and_formatted_once(monkeypatch,
     assert len(result.worlds) > 1
     reported = set().union(result.generated, result.optimal,
                            *result.verified.values())
+    sort_keys = set(map(atom_sort_key, reported))
     keys = _count_calls(monkeypatch, model.atom_sort_key)
     decoded = _count_calls(monkeypatch, model.condition_texts)
+    bodies = _count_calls(monkeypatch, model.atom_body)
     render(result, config)
     assert keys == dict.fromkeys(reported, 1)
     # a body or JSON head is written from the texts of the atom's sort key
     assert decoded == dict.fromkeys(reported, 1)
+    # render_json writes no fact-file bodies
+    assert bodies == (dict.fromkeys(sort_keys, 1) if render is render_text
+                      else {})
 
 
 def test_worlds_are_ranked_once_per_verified_set(monkeypatch):
