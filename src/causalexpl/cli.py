@@ -18,9 +18,8 @@ report writers sort the reported atoms once (model.ranked_atoms); each stage
 section, distinct verified set and verdict lists positions in that one
 order (a world those of its verified set), and text output formats each
 atom's body once, JSON output its "from", "to" and "conditions", from the
-texts its sort key holds.  Atoms
-verified in the same worlds share one verdict.  The report is written to
-its stream in slices.
+texts its sort key holds.  Atoms verified in the same worlds share one
+verdict.  The report is written to its stream in slices.
 
 Exit codes: 0 success (a reader closing stdout early too), 1 input error
 (an unwritable --out too), 2 world overflow, 3 internal error.
@@ -38,8 +37,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .closure import compute_closures, impco_closure
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Theory, atom_body, ranked_atoms,
-                    symbol_universe, validate_theory)
+from .model import (ExplanationAtom, Literal, Theory, atom_body, members,
+                    ranked_atoms, symbol_universe, validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
@@ -59,12 +58,10 @@ RunConfig = namedtuple(
 
 class RunResult:
     """What one run derived; run_pipeline fills it in stage by stage."""
-    __slots__ = ("theory", "generated", "optimal", "worlds", "verified",
-                 "verdicts", "warnings")
+    __slots__ = ("generated", "optimal", "worlds", "verified", "verdicts",
+                 "warnings")
 
-    def __init__(self, theory: Theory,
-                 generated: FrozenSet[ExplanationAtom] = frozenset()):
-        self.theory = theory
+    def __init__(self, generated: FrozenSet[ExplanationAtom] = frozenset()):
         self.generated = generated
         self.optimal: FrozenSet[ExplanationAtom] = frozenset()
         self.worlds: Tuple[World, ...] = ()
@@ -85,18 +82,17 @@ def apply_lifting(t: Theory, warnings: List[str]) -> Theory:
     warnings.extend(report.warnings)
     restricted = apply_restrictions(report.atoms, kinds)
     warnings.extend(restricted.warnings)
-    return t.with_ontology(frozenset(t.ontology) | restricted.atoms)
+    return t._replace(ontology=frozenset(t.ontology) | restricted.atoms)
 
 
 def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResult:
-    result = RunResult(theory=t)
+    result = RunResult()
     report = validate_theory(t, lifting=config.lifting)
     result.warnings.extend(report.warnings)
     if not report.ok:
         raise ValueError("; ".join(report.errors))
     if config.lifting:
         t = apply_lifting(t, result.warnings)
-        result.theory = t
     symbols, _ = symbol_universe(t)
     for atom in stage_in.generated | stage_in.optimal:
         unknown = (atom.conditions | {atom.target}) - symbols
@@ -106,10 +102,10 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
                 "not mention" % (atom.source, atom.target,
                                  ", ".join(map(str, sorted(unknown)))))
 
-    # closures are built once per causal set, here for the base set when a
-    # stage reads them or by enumerate_worlds, and shared by generate,
-    # optimize and propagation
-    base = frozenset(t.causal)
+    # closures are built once per causal set, keyed by its mask, here for
+    # the base set when a stage reads them or by enumerate_worlds, and
+    # shared by generate, optimize and propagation
+    base = sum(ca.bit for ca in t.causal)
     closures = {}
 
     def base_closures():
@@ -159,7 +155,8 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResul
         if known is None:
             c = closures.pop(world.causal)
             known = optimal_by_causal[world.causal] = with_mask(
-                optimize(generate(t.with_causal(world.causal), c), c))
+                optimize(generate(t.with_causal(members(world.causal)), c),
+                         c))
         atoms, mentioned = known
         pair = (atoms, mentioned & world.false)
         verified = verified_by_pair.get(pair)
@@ -288,8 +285,14 @@ def _write_worlds(result: RunResult, order: List[ExplanationAtom],
     tail = '%s"status": "verified"%s' % (_KEY_LINE, _CLOSE)
     blocks = {r: (heads[r] + tail).replace("\n", "\n    ")
               for r in ranks["verdicts"]}
-    quoted = {lit: _quote(lit.render())
-              for lit in frozenset().union(*(w.chosen for w in result.worlds))}
+    # every literal some world chooses, as (bit, side of chosen, quoted
+    # text), in text order
+    chosen = [functools.reduce(int.__or__, (w.chosen[side]
+                                            for w in result.worlds), 0)
+              for side in (0, 1)]
+    table = sorted((Literal(atom, side == 0).render(), atom.bit, side)
+                   for side in (0, 1) for atom in members(chosen[side]))
+    table = [(bit, side, _quote(text)) for text, bit, side in table]
     indices = {w.index: int.__repr__(w.index) for w in result.worlds}
     index, facts, explanations = (
         '{\n%s"index": ' % _KEY, '%s"facts": ' % _KEY_LINE,
@@ -297,7 +300,8 @@ def _write_worlds(result: RunResult, order: List[ExplanationAtom],
 
     def world(out, w):
         out += (index, indices[w.index], facts)
-        _items(map(quoted.__getitem__, sorted(w.chosen, key=str)), _KEY, out)
+        _items([text for bit, side, text in table if w.chosen[side] & bit],
+               _KEY, out)
         out.append(explanations)
         _items(map(blocks.__getitem__, ranks[result.verified[w.index]]),
                _KEY, out)

@@ -5,9 +5,10 @@ pipeline runs.  Symbols, causal and ontological atoms and literals are
 interned, one object per value, and every other value is a tuple, so
 hashing and comparing them runs in C.  Each symbol and causal atom gets one
 bit of a process-wide numbering when it is interned.  A condition set is the
-int mask of its members' bits from generation to verification, and a
-world's truth assignment is a pair of masks; a mask is decoded to symbols or
-text only at the public boundary and where text is written.
+int mask of its members' bits from generation to verification, and a world
+is masks only: its chosen literals, its truth assignment and its causal set.
+A mask is decoded by ``members`` alone, at the public boundary and where
+text is written.
 """
 from __future__ import annotations
 
@@ -192,8 +193,9 @@ class Clause(namedtuple("Clause", "literals")):
         return self.render()
 
 
-def _members(mask: int, numbered: List) -> List:
-    """The items of numbered (indexed by number) at mask's bits."""
+def members(mask: int, numbered: List = _numbered) -> List:
+    """The items of numbered, by default the symbols and causal atoms, at
+    mask's bits: the one decoder of a mask."""
     out = []
     while mask:
         n = mask.bit_length() - 1
@@ -232,7 +234,7 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
 
     @property
     def conditions(self) -> FrozenSet[Symbol]:
-        return frozenset(_members(self.mask, _numbered))
+        return frozenset(members(self.mask))
 
     def render(self) -> str:
         return "ecSet(%s)" % atom_body(atom_sort_key(self))
@@ -242,7 +244,7 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
 
 def condition_texts(atom: ExplanationAtom) -> Tuple[str, ...]:
     """The texts of an atom's conditions, in the order they are written."""
-    return tuple(sorted(_members(atom.mask, _numbered_texts)))
+    return tuple(sorted(members(atom.mask, _numbered_texts)))
 
 
 def atom_body(key: tuple) -> str:
@@ -291,9 +293,6 @@ class Theory(namedtuple("Theory", (
     def with_causal(self, causal: Iterable[CausalAtom]) -> "Theory":
         """Copy with a different causal atom set (per-world reinterpretation)."""
         return self._replace(causal=frozenset(causal))
-
-    def with_ontology(self, ontology: Iterable[OntAtom]) -> "Theory":
-        return self._replace(ontology=frozenset(ontology))
 
 
 def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:

@@ -6,7 +6,8 @@ brave (some world) and cautious (all worlds) verdicts can be computed.
 
 Truth is two masks over the process-wide bits of symbols and causal atoms
 (Symbol.bit, CausalAtom.bit): the atoms assigned true and those assigned
-false, an atom in neither being unknown.  A clash is a bit in both.
+false, an atom in neither being unknown.  A clash is a bit in both.  A
+world's chosen literals are two such masks and its causal set is one.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from collections import defaultdict, namedtuple
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .closure import _implied, compute_closures
-from .model import CausalAtom, Clause, ExplanationAtom, Literal, Theory
+from .model import (CausalAtom, Clause, ExplanationAtom, Literal, Theory,
+                    members)
 
 
 class WorldOverflowError(RuntimeError):
@@ -31,28 +33,27 @@ class InconsistentTheoryError(RuntimeError):
 
 class World(namedtuple("World", (
         "index",
-        "chosen",     # the literals chosen, facts included
+        "chosen",     # (positive, negative) literal masks, facts included
         "true",       # mask of the symbols and causal atoms assigned true
         "false",      # and of those assigned false; the rest are unknown
-        "causal"))):  # the effective causal atoms, all of them true
+        "causal"))):  # mask of the effective causal atoms, all of them true
     """One resolution of all choices, with a three-valued truth assignment."""
     __slots__ = ()
-
-
-def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[Literal, ...]]:
-    literals = clause.sorted_literals()
-    if not inclusive:
-        return [(lit,) for lit in literals]
-    options = []
-    for r in range(1, len(literals) + 1):
-        options.extend(itertools.combinations(literals, r))
-    return options
 
 
 def _masks(literals: Iterable[Literal]) -> Tuple[int, int]:
     """The masks of the atoms of the positive and of the negative literals."""
     return (sum({lit.atom.bit for lit in literals if lit.positive}),
             sum({lit.atom.bit for lit in literals if not lit.positive}))
+
+
+def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[int, int]]:
+    """The options of a disjunctive fact as _masks pairs: one per literal,
+    or per non-empty combination of literals when inclusive."""
+    literals = clause.sorted_literals()
+    sizes = range(1, len(literals) + 1) if inclusive else (1,)
+    return [_masks(option) for r in sizes
+            for option in itertools.combinations(literals, r)]
 
 
 def propagate_truth(true: int, false: int, above: Mapping[int, int],
@@ -67,37 +68,30 @@ def propagate_truth(true: int, false: int, above: Mapping[int, int],
     return _implied(true, above), _implied(false, below)
 
 
-def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
-                        fixed: int, closures: dict):
-    """Yield (option indices, true, false, causal set) for every choice of
-    one option per axis that, with t's facts and their consequences along
-    impco, assigns no atom both values.
+def _consistent_choices(t: Theory, options: List[List[Tuple[int, int]]],
+                        fixed: int, every: int, closures: dict):
+    """Yield (option indices, true, false, causal mask) for every choice of
+    one (true, false) pair per axis of options that, with t's facts and
+    their consequences along impco, assigns no atom both values.
 
-    The walk is depth-first and visits choices in itertools.product order; a
-    branch is dropped as soon as an option clashes with a fact or an earlier
-    choice.  The first fixed axes are those that hold a causal literal, so
-    from depth fixed on no axis can change the causal set.  A branch that
-    reaches it without a clash computes its causal set, which gets its
-    entry in closures if it has none, makes its atoms true and propagates
-    the whole assignment along that set's impco; at each deeper depth only
-    the bits that depth added are propagated, so a branch dies at its first
-    propagated clash.  Each depth keeps the masks it was reached with, and
-    restores them before its next option.  The yielded causal set is the
-    closures key for that set, one object per set.
+    The walk is depth-first in itertools.product order; a branch is dropped
+    as soon as an option clashes with a fact or an earlier choice.  The
+    first fixed axes are those that hold a causal literal, so from depth
+    fixed on no axis can change the causal set, whose bits are among every.
+    A branch that reaches it without a clash computes its causal mask,
+    which gets its entry in closures if it has none, makes those atoms true
+    and propagates the whole assignment along that set's impco; each deeper
+    depth propagates only the bits it added, if any, so a branch dies at its
+    first propagated clash.  Each depth keeps the masks it was reached
+    with, and restores them before its next option.
     """
     true, false = _masks(t.facts)
     if true & false:
         return
-    n = len(axes)
-    options = [[_masks(option) for option in axis] for axis in axes]
+    n = len(options)
     # a branch holds t's causal atoms unless assigned false, and any other
     # causal atom when assigned true
     base = sum(ca.bit for ca in t.causal)
-    literals = t.facts.union(*(option for axis in axes for option in axis))
-    causal_atoms = t.causal.union(lit.atom for lit in literals
-                                  if isinstance(lit.atom, CausalAtom))
-    every = sum(ca.bit for ca in causal_atoms)
-    keys = {sum(ca.bit for ca in causal): causal for causal in closures}
     reached = [(0, 0)] * n   # the masks each depth was reached with
     tried = [0] * n          # options tried per depth
     depth, arrived = 0, True
@@ -106,25 +100,22 @@ def _consistent_choices(t: Theory, axes: List[List[Tuple[Literal, ...]]],
             arrived = False
             if depth >= fixed:
                 if depth == fixed:
-                    mask = base & ~false | true & every
-                    causal = keys.get(mask)
-                    if causal is None:
-                        causal = keys[mask] = frozenset(
-                            ca for ca in causal_atoms if ca.bit & mask)
+                    causal = base & ~false | true & every
                     c = closures.get(causal)
                     if c is None:
                         c = closures[causal] = compute_closures(
-                            t.with_causal(causal))
-                    true |= mask
-                    before = (0, 0)     # propagate the whole masks
+                            t.with_causal(members(causal)))
+                    true |= causal
+                    was = (0, 0)     # propagate the whole masks
                 else:
-                    before = reached[depth - 1]
-                up, down = propagate_truth(true ^ before[0], false ^ before[1],
-                                           c.impco_above, c.impco_below)
-                true, false = true | up, false | down
-                if true & false:
-                    depth -= 1
-                    continue
+                    was = reached[depth - 1]
+                if (true, false) != was:
+                    up, down = propagate_truth(true ^ was[0], false ^ was[1],
+                                               c.impco_above, c.impco_below)
+                    true, false = true | up, false | down
+                    if true & false:
+                        depth -= 1
+                        continue
             if depth == n:
                 yield [tried[i] - 1 for i in range(n)], true, false, causal
                 depth -= 1
@@ -156,41 +147,46 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     when a clause has every positive atom false and every negative atom
     true.
 
-    closures maps a causal set to the ClosureRelations of t with that causal
-    set.  Entries already present are used; a missing one is built once, for
-    the caller to reuse, when a branch first reaches without a clash the
-    depth after which no axis can change its causal set.  Worlds on one
-    causal set hold its closures key.  Raises WorldOverflowError as soon as
+    closures maps a causal mask to the ClosureRelations of t with that
+    causal set; a missing entry is built once, for the caller to reuse,
+    when a branch first reaches without a clash the depth after which no
+    axis can change its causal set.  Raises WorldOverflowError as soon as
     more than max_worlds worlds survive.
     """
     if closures is None:
         closures = {}
-    axes: List[List[Tuple[Literal, ...]]] = []
-    for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
-        axes.append(_literal_options(clause, inclusive_disjunction))
-    for atom in sorted(t.completions, key=str):
-        axes.append([(Literal(atom, True),), (Literal(atom, False),)])
-    # the walk order: axes holding a causal literal first, each part in
-    # canonical order
-    causal_axis = [any(isinstance(lit.atom, CausalAtom) for option in axis
-                       for lit in option) for axis in axes]
+    disjunctive = sorted(t.disjunctive_facts, key=lambda c: c.render())
+    axes = [_literal_options(clause, inclusive_disjunction)
+            for clause in disjunctive]
+    axes += [[(atom.bit, 0), (0, atom.bit)]
+             for atom in sorted(t.completions, key=str)]
+    # the bits of the causal atoms in play, and the walk order: axes
+    # holding a causal literal first, each part in canonical order
+    atoms = t.causal.union(t.completions, (
+        lit.atom for lit in t.facts.union(*(c.literals for c in disjunctive))))
+    every = sum(a.bit for a in atoms if isinstance(a, CausalAtom))
+    causal_axis = [any((true | false) & every for true, false in axis)
+                   for axis in axes]
     walk = sorted(range(len(axes)), key=lambda i: not causal_axis[i])
     clauses = [_masks(clause.literals) for clause in t.clauses]
+    facts = _masks(t.facts)
 
     survivors = []
     for options, true, false, causal in _consistent_choices(
-            t, [axes[i] for i in walk], sum(causal_axis), closures):
+            t, [axes[i] for i in walk], sum(causal_axis), every, closures):
         if any(positive & false == positive and negative & true == negative
                for positive, negative in clauses):
             continue
         if len(survivors) == max_worlds:
             raise WorldOverflowError(max_worlds)
         key = [0] * len(axes)
-        chosen = set(t.facts)
+        chosen_true, chosen_false = facts
         for i, option in zip(walk, options):
             key[i] = option
-            chosen.update(axes[i][option])
-        survivors.append((key, frozenset(chosen), true, false, causal))
+            chosen_true |= axes[i][option][0]
+            chosen_false |= axes[i][option][1]
+        survivors.append((key, (chosen_true, chosen_false), true, false,
+                          causal))
     survivors.sort(key=lambda s: s[0])
     return tuple(World(index, *world) for index, (_, *world) in enumerate(
         survivors, 1))

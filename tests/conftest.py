@@ -5,8 +5,8 @@ import random
 import pytest
 
 from causalexpl.closure import impco_closure
-from causalexpl.model import (CausalAtom, OntAtom, Symbol, Theory,
-                              symbol_universe)
+from causalexpl.model import (CausalAtom, Literal, OntAtom, Symbol, Theory,
+                              members, symbol_universe)
 
 FIG_TEXT = """
 % the running-example causal diagram
@@ -110,3 +110,16 @@ def impco_pairs(t: Theory):
     """t's impco as a set of (implying, implied) symbol pairs, computed
     apart from the closure index (compute_closures keeps only mask rows)."""
     return impco_closure(t.causal, t.ontology, symbol_universe(t)[1])
+
+
+def chosen_literals(world):
+    """The literals a world chooses, decoded from its chosen masks."""
+    positive, negative = world.chosen
+    return frozenset([Literal(a, True) for a in members(positive)]
+                     + [Literal(a, False) for a in members(negative)])
+
+
+def decoded(world):
+    """A world as (index, chosen literals, true, false, causal atoms)."""
+    return (world.index, chosen_literals(world), world.true, world.false,
+            frozenset(members(world.causal)))

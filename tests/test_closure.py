@@ -95,7 +95,7 @@ def _mask_pairs(rows):
     """Mask rows (bit -> mask) as (row symbol, member symbol) pairs."""
     return {(model._numbered[bit.bit_length() - 1], member)
             for bit, mask in rows.items()
-            for member in model._members(mask, model._numbered)}
+            for member in model.members(mask)}
 
 
 @settings(max_examples=100, deadline=None)

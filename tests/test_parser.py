@@ -182,7 +182,7 @@ def test_every_unit_statement_parses_emits_and_checks(functor):
 
 def test_emit_atoms_canonical_order():
     r = parse_input("ecSet(b,c,{b}). ecSet(a,c,{a,x}). ecSet(a,b,{a}).")
-    result = RunResult(theory=r.theory, generated=frozenset(r.stage.generated))
+    result = RunResult(generated=frozenset(r.stage.generated))
     lines = render_text(result, RunConfig(stage="gen")).splitlines()
     assert lines == ["ecSet(a,b,{a}).", "ecSet(a,c,{a,x}).", "ecSet(b,c,{b})."]
 

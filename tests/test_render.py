@@ -16,7 +16,7 @@ from causalexpl.cli import RunConfig, render_json, render_text, run_pipeline
 from causalexpl import cli, model
 from causalexpl.model import Literal, atom_sort_key
 from causalexpl.parser import STAGE_SECTIONS, parse_input
-from conftest import FIG_TEXT, chain_theory, random_theory
+from conftest import FIG_TEXT, chain_theory, chosen_literals, random_theory
 
 STAGES = ("gen", "opt", "verify", "all")
 
@@ -41,7 +41,7 @@ def reference_doc(result, config):
                 sorted(getattr(result, section.field), key=atom_sort_key)]
     if config.stage in ("verify", "all") and not config.oracle:
         doc["worlds"] = [
-            {"index": w.index, "facts": sorted(map(str, w.chosen)),
+            {"index": w.index, "facts": sorted(map(str, chosen_literals(w))),
              "explanations": [_atom_doc(a, "verified") for a in
                               sorted(result.verified.get(w.index, ()),
                                      key=atom_sort_key)]}
@@ -117,7 +117,7 @@ def test_fixed_reports_match_the_reference(name, stage):
     if name == "refuted" and stage in ("verify", "all"):
         assert [len(result.verified[w.index]) for w in result.worlds] == [1, 0]
     if name == "no-facts" and stage in ("verify", "all"):
-        assert [w.chosen for w in result.worlds] == [frozenset()]
+        assert [w.chosen for w in result.worlds] == [(0, 0)]
 
 
 @pytest.mark.parametrize("stage", STAGES)

@@ -1,11 +1,16 @@
 """World enumeration, truth propagation and brave/cautious verification."""
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalexpl
 from causalexpl import cli, model
 from causalexpl.closure import (compute_closures, impco_closure,
                                relation_rows)
@@ -17,7 +22,7 @@ from causalexpl.parser import StageFacts, parse_input
 from causalexpl.worlds import (InconsistentTheoryError, WorldOverflowError,
                                brave_cautious, enumerate_worlds,
                                propagate_truth, verify)
-from conftest import atom_keys
+from conftest import atom_keys, chain_theory, decoded
 
 
 def _clause(*literals):
@@ -60,7 +65,7 @@ def test_causal_disjunct_changes_world_causal_set():
     clause = _clause(Literal(b2g, True), Literal(e3g3, True))
     t = Theory(clauses=frozenset([clause]))
     worlds = enumerate_worlds(t)
-    assert {frozenset(w.causal) for w in worlds} == {
+    assert {frozenset(model.members(w.causal)) for w in worlds} == {
         frozenset([b2g]), frozenset([e3g3])}
 
 
@@ -68,8 +73,8 @@ def test_causal_completion_removes_atom_when_false():
     ab = CausalAtom(sym("a"), sym("b"))
     t = Theory(causal=frozenset([ab]), completions=frozenset([ab]))
     worlds = enumerate_worlds(t)
-    assert {frozenset(w.causal) for w in worlds} == {frozenset([ab]),
-                                                     frozenset()}
+    assert {frozenset(model.members(w.causal)) for w in worlds} == {
+        frozenset([ab]), frozenset()}
 
 
 def test_world_overflow():
@@ -289,7 +294,7 @@ def test_enumeration_matches_brute_force(seed, inclusive):
     t = _random_world_theory(random.Random(seed))
     worlds = enumerate_worlds(t, max_worlds=10 ** 6,
                               inclusive_disjunction=inclusive)
-    assert list(map(tuple, worlds)) == _reference_worlds(t, inclusive)
+    assert list(map(decoded, worlds)) == _reference_worlds(t, inclusive)
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,7 +341,23 @@ def test_propagated_clash_prunes_the_walk(monkeypatch):
     assert len(calls) <= 100
     monkeypatch.undo()
     assert len(worlds) == 13
-    assert list(map(tuple, worlds)) == _reference_worlds(t, False)
+    assert list(map(decoded, worlds)) == _reference_worlds(t, False)
+
+
+def test_a_depth_that_adds_no_bit_propagates_nothing(monkeypatch):
+    # the facts fix a and b, so the completions of a and b add no bit in
+    # the world that chooses them as the facts do, and the other option
+    # clashes with the facts
+    a, b, c = sym("a"), sym("b"), sym("c")
+    t = Theory(ontology=frozenset([OntAtom(a, c)]),
+               facts=frozenset([Literal(a, True), Literal(b, False)]),
+               completions=frozenset([a, b]))
+    calls = _counting_propagation(monkeypatch)
+    (world,) = enumerate_worlds(t)
+    monkeypatch.undo()
+    # the whole masks once, at the fixing depth, and no call after it
+    assert calls == [(a.bit, b.bit)]
+    assert world.true == a.bit | c.bit and world.false == b.bit
 
 
 @pytest.mark.parametrize("inclusive", [False, True])
@@ -360,8 +381,8 @@ def test_causal_set_fixed_partway_through_the_walk(monkeypatch, inclusive):
     worlds = enumerate_worlds(t, max_worlds=10 ** 6,
                               inclusive_disjunction=inclusive)
     monkeypatch.undo()
-    assert list(map(tuple, worlds)) == _reference_worlds(t, inclusive)
-    assert {w.causal for w in worlds} == {
+    assert list(map(decoded, worlds)) == _reference_worlds(t, inclusive)
+    assert {frozenset(model.members(w.causal)) for w in worlds} == {
         frozenset(s) for s in ([cd], [cd, be], [cd, bc], [cd, be, bc])}
     # whole masks at the fixing depth, which hold t's causal atom c -> d;
     # after it, one call per later option with only the atoms it added
@@ -392,34 +413,35 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
     monkeypatch.setattr(cli, "compute_closures", counting_closures)
     monkeypatch.setattr("causalexpl.worlds.compute_closures", counting_closures)
     result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
-    causal_sets = {w.causal for w in result.worlds}
+    causal_sets = {frozenset(model.members(w.causal)) for w in result.worlds}
     assert len(result.worlds) == 8 and len(causal_sets) == 2
     assert sorted(calls, key=len) == sorted(causal_sets, key=len)
     assert sorted(closed, key=len) == sorted(causal_sets, key=len)
     for world in result.worlds:
-        tw = t.with_causal(world.causal)
+        tw = t.with_causal(model.members(world.causal))
         expected = verify(optimize(generate(tw), compute_closures(tw)),
                           world)
         assert result.verified[world.index] == expected
 
 
 def _false_symbols(world):
-    return frozenset(s for s in model._members(world.false, model._numbered)
+    return frozenset(s for s in model.members(world.false)
                      if isinstance(s, Symbol))
 
 
 def test_worlds_share_their_causal_set():
     t = parse_input("cause(a,b). cause(b,c) v -cause(b,c). "
                     "true(x) v -true(x). true(y) v -true(y).").theory
-    base = frozenset(t.causal)
-    closures = {base: compute_closures(t)}
+    base = sum(ca.bit for ca in t.causal)
+    given = compute_closures(t)
+    closures = {base: given}
     worlds = enumerate_worlds(t, closures=closures)
     assert len(worlds) == 8
-    # worlds on one causal set hold its closures key, the caller's too
-    keys = {causal: causal for causal in closures}
-    assert {w.causal for w in worlds} == set(keys)
-    assert all(w.causal is keys[w.causal] for w in worlds)
-    assert any(w.causal is base for w in worlds)
+    # a world's causal mask keys its set's closures; the caller's entry is
+    # used, not rebuilt
+    bc = CausalAtom(sym("b"), sym("c")).bit
+    assert {w.causal for w in worlds} == set(closures) == {base, base | bc}
+    assert closures[base] is given
 
 
 def test_pipeline_verifies_once_per_atom_set_and_relevant_false_symbols(
@@ -446,7 +468,7 @@ def test_pipeline_verifies_once_per_atom_set_and_relevant_false_symbols(
     monkeypatch.undo()
     pairs = {}
     for w in result.worlds:
-        tw = t.with_causal(w.causal)
+        tw = t.with_causal(model.members(w.causal))
         c = compute_closures(tw)
         pairs[w.index] = relevant(optimize(generate(tw, c), c), w)
     assert len(result.worlds) == 24
@@ -472,7 +494,7 @@ def test_pipeline_drops_closures_no_world_needs(monkeypatch):
 
     def keeping_enumerate(*args, closures, **kwargs):
         worlds = enumerate_worlds(*args, closures=closures, **kwargs)
-        built.append(set(closures))
+        built.append({frozenset(model.members(k)) for k in closures})
         held.append(closures)
         return worlds
 
@@ -484,9 +506,46 @@ def test_pipeline_drops_closures_no_world_needs(monkeypatch):
     monkeypatch.setattr(cli, "verify", recording_verify)
     result = cli.run_pipeline(t, StageFacts(), cli.RunConfig(stage="verify"))
     a, b, c = sym("a"), sym("b"), sym("c")
-    assert [w.causal for w in result.worlds] == [frozenset()]
+    assert [frozenset(model.members(w.causal)) for w in result.worlds] == [
+        frozenset()]
     assert built == [{frozenset(), frozenset({CausalAtom(b, c)}),
                       frozenset({CausalAtom(a, b), CausalAtom(b, c)})}]
     # by the one world's verify, its own closures are used up and those of
     # the dead causal set are gone
     assert held[1:] == [set()]
+
+
+# per world, the bytes enumerate_worlds leaves allocated on chain 2 with its
+# first 20 symbols completed, closures built beforehand
+_RETAINED = """
+import tracemalloc
+from causalexpl.model import symbol_universe
+from causalexpl.worlds import enumerate_worlds
+from conftest import chain_theory
+t = chain_theory(2)
+t = t._replace(completions=frozenset(sorted(symbol_universe(t)[0])[:20]))
+closures = {}
+enumerate_worlds(t, max_worlds=10 ** 6, closures=closures)
+tracemalloc.start()
+worlds = enumerate_worlds(t, max_worlds=10 ** 6, closures=closures)
+print(len(worlds), tracemalloc.get_traced_memory()[0] / len(worlds))
+"""
+
+
+def test_worlds_hold_only_masks():
+    # a world is ints only, so the many worlds of a run cost little.  The
+    # bytes are counted in a new process: a mask is as wide as the highest
+    # bit the process has numbered, and other tests number many symbols
+    t = chain_theory(2)
+    t = t._replace(completions=frozenset(sorted(symbol_universe(t)[0])[:4]))
+    for w in enumerate_worlds(t):
+        assert list(map(type, (w.causal, w.true, w.false) + w.chosen)) == \
+            [int] * 5
+    paths = [pathlib.Path(causalexpl.__file__).resolve().parents[1],
+             pathlib.Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    proc = subprocess.run([sys.executable, "-c", _RETAINED], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    count, per_world = proc.stdout.split()
+    assert int(count) == 944 and float(per_world) < 700
