@@ -408,11 +408,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             out = emit_theory(theory)
         else:
             result = run_pipeline(theory, stage_in, config)
-            result.warnings = warnings + result.warnings
-            for w in result.warnings:
-                print("warning: %s" % w, file=sys.stderr)
+            result.warnings = warnings = warnings + result.warnings
             out = (render_json(result, config) if args.fmt == "json"
                    else render_text(result, config))
+        for w in warnings:
+            print("warning: %s" % w, file=sys.stderr)
         if args.out:
             with open(args.out, "w") as fh:
                 _write_slices(out, fh)

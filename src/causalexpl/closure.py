@@ -4,40 +4,32 @@ ontt   -- transitive closure of the IS-A links
 impco  -- implication induced by causal + ontological atoms, reflexive on
           symbolE and transitively closed
 
-ont_closure and impco_closure give each as pairs; the closure index
-(compute_closures) keeps ontt as symbol rows and impco as mask rows.
+One routine closes a relation over masks (model.Symbol.bit).  The closure
+index (compute_closures) keeps each relation as its rows both ways, a bit
+mapped to the mask of the symbols above or below it; ont_closure and
+impco_closure decode the same rows into pairs.
 """
 from __future__ import annotations
 
+import functools
 from collections import defaultdict, namedtuple
 from types import MappingProxyType
 from typing import FrozenSet, Iterable, Iterator, Mapping, Tuple
 
-from .model import CausalAtom, OntAtom, Symbol, Theory, symbol_universe
+from .model import CausalAtom, OntAtom, Symbol, Theory, members
 
 Pair = Tuple[Symbol, Symbol]
 PairSet = FrozenSet[Pair]
-Rows = Mapping[Symbol, FrozenSet[Symbol]]
-
-
-def relation_rows(pairs: Iterable[Pair]) -> Tuple[Rows, Rows]:
-    """Read-only forward (a -> {b}) and backward (b -> {a}) rows of a
-    relation; a symbol with no pair has no row."""
-    fwd, bwd = defaultdict(set), defaultdict(set)
-    for a, b in pairs:
-        fwd[a].add(b)
-        bwd[b].add(a)
-    return tuple(MappingProxyType({s: frozenset(row) for s, row in
-                                   rows.items()}) for rows in (fwd, bwd))
+Rows = Mapping[int, int]
 
 
 class ClosureRelations(namedtuple("ClosureRelations", (
-        "ontt_supers",      # sub -> supers
-        "ontt_subs",        # super -> subs
+        "ontt_above",       # bit -> mask of its IS-A super-concepts
+        "ontt_below",       # bit -> mask of its IS-A sub-concepts
         "impco_above",      # bit -> mask of the symbols it implies
         "impco_below"))):   # bit -> mask of the symbols implying it
-    """The one closure index of a theory, built once per causal set: a
-    symbol (or bit) with no pair has no row."""
+    """The one closure index of a theory, built once per causal set: a bit
+    with no pair has no row."""
     __slots__ = ()
 
 
@@ -58,44 +50,54 @@ def _implied(mask: int, rows: Mapping[int, int]) -> int:
     return out
 
 
-def _reachability(edges: Iterable[Pair]) -> PairSet:
-    """All (u, v) with a non-empty edge path from u to v."""
-    succ, _ = relation_rows(edges)
-    closed = set()
-    for source in succ:
-        reached = set()
-        pending = list(succ[source])
-        while pending:
-            node = pending.pop()
-            if node in reached:
-                continue
-            reached.add(node)
-            pending.extend(succ.get(node, ()))
-        closed.update((source, node) for node in reached)
-    return frozenset(closed)
+def _closure(ontology: Iterable[OntAtom], causal: Iterable[CausalAtom] = (),
+             reflexive: bool = False) -> Tuple[Rows, Rows]:
+    """Read-only rows of the transitive closure of the IS-A and cause
+    edges: above maps a bit to the mask of the symbols a non-empty edge
+    path from it reaches, below maps a bit to the mask of those that reach
+    it.  reflexive adds every edge endpoint to its own rows."""
+    step = defaultdict(int)
+    for oa in ontology:
+        step[oa.sub.bit] |= oa.super.bit
+    for ca in causal:
+        step[ca.cause.bit] |= ca.effect.bit
+    above = {}
+    for bit, new in step.items():
+        reached = 0
+        while new:
+            reached |= new
+            new = _implied(new, step) & ~reached
+        above[bit] = reached
+    if reflexive:  # the edges' sources (step's keys) and targets
+        for bit in _bits(functools.reduce(int.__or__, step.values(),
+                                          sum(step))):
+            above[bit] = above.get(bit, 0) | bit
+    below = defaultdict(int)
+    for bit, row in above.items():
+        for low in _bits(row):
+            below[low] |= bit
+    return MappingProxyType(above), MappingProxyType(dict(below))
+
+
+def _pairs(above: Rows) -> PairSet:
+    """The pairs (a, b) of a relation's above rows."""
+    return frozenset((a, b) for bit, row in above.items()
+                     for a in members(bit) for b in members(row))
 
 
 def ont_closure(ontology: Iterable[OntAtom]) -> PairSet:
     """Least fixpoint of IS-A transitivity; contains every input pair."""
-    return _reachability((oa.sub, oa.super) for oa in ontology)
+    return _pairs(_closure(ontology)[0])
 
 
 def impco_closure(causal: Iterable[CausalAtom], ontology: Iterable[OntAtom],
                   symbol_e: Iterable[Symbol]) -> PairSet:
     """Transitive closure of cause+ont edges plus reflexivity on symbolE."""
-    edges = [(ca.cause, ca.effect) for ca in causal]
-    edges.extend((oa.sub, oa.super) for oa in ontology)
-    closed = set(_reachability(edges))
-    closed.update((s, s) for s in symbol_e)
-    return frozenset(closed)
+    return _pairs(_closure(ontology, causal)[0]) | {(s, s) for s in symbol_e}
 
 
 def compute_closures(t: Theory) -> ClosureRelations:
-    _, symbol_e = symbol_universe(t)
-    above, below = defaultdict(int), defaultdict(int)
-    for a, b in impco_closure(t.causal, t.ontology, symbol_e):
-        above[a.bit] |= b.bit
-        below[b.bit] |= a.bit
-    return ClosureRelations(*relation_rows(ont_closure(t.ontology)),
-                            MappingProxyType(dict(above)),
-                            MappingProxyType(dict(below)))
+    """The closure index of t's causal and IS-A atoms; impco is reflexive on
+    symbolE, the endpoints of those atoms."""
+    return ClosureRelations(*_closure(t.ontology),
+                            *_closure(t.ontology, t.causal, reflexive=True))

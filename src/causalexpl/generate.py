@@ -5,9 +5,10 @@ and the double-ontology relation is read off their witnesses
 (ecinit_full).  One rule seeds the fixpoint from that relation
 (seed_ecsets), and the transitive condition-gathering fixpoint extends the
 seeds over it, keeping only the subset-minimal condition sets of each
-(source, target) pair (up to symbols on implication cycles).  Gathering and
-reduction work on condition masks (model.Symbol.bit) and on impco's rows as
-masks (ClosureRelations.impco_below).
+(source, target) pair (up to symbols on implication cycles).  The rules
+read the closure index's rows, each a symbol's bit (model.Symbol.bit)
+mapped to a mask of symbol bits, and gathering and reduction work on
+condition masks.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from itertools import repeat
 from operator import and_
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .closure import ClosureRelations, compute_closures
-from .model import ExplanationAtom, Symbol, Theory
+from .closure import ClosureRelations, _implied, compute_closures
+from .model import ExplanationAtom, Symbol, Theory, members
 
 
 # source explains target because {source, extra}, without transitivity
@@ -37,16 +38,13 @@ def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         implied = c.impco_above[i.bit]  # i is in symbolE, so it has a row
-        out.add(InitialExplanation(i, x, i))
-        out.update(InitialExplanation(i, j, i)
-                   for j in c.ontt_supers.get(x, ()))
-        for e in c.ontt_subs.get(x, ()):
-            if implied & e.bit:
-                out.add(InitialExplanation(i, e, i))
-                out.update(InitialExplanation(i, j, i)
-                           for j in c.ontt_supers.get(e, ()))
-            else:
-                out.add(InitialExplanation(i, e, e))
+        subs = c.ontt_below.get(x.bit, 0)
+        # x, the sub-concepts of x that i implies, and their super-concepts
+        explained = x.bit | subs & implied
+        explained |= _implied(explained, c.ontt_above)
+        out.update(InitialExplanation(i, j, i) for j in members(explained))
+        out.update(InitialExplanation(i, e, e)
+                   for e in members(subs & ~implied))
     return frozenset(out)
 
 
@@ -61,7 +59,7 @@ def ecinit_full(c: ClosureRelations, base: FrozenSet[InitialExplanation],
     return base | frozenset(
         InitialExplanation(w.source, j, w.extra) for w in base
         if w.extra == w.target != w.source
-        for j in c.ontt_supers.get(w.extra, ()))
+        for j in members(c.ontt_above.get(w.extra.bit, 0)))
 
 
 def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAtom]:

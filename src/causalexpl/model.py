@@ -355,8 +355,8 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
                                         and lit.atom in t.causal):
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
-    from .closure import ont_closure  # closure imports this module
-    if any(sub == sup for sub, sup in ont_closure(t.ontology)):
+    from .closure import _closure  # closure imports this module
+    if any(bit & above for bit, above in _closure(t.ontology)[0].items()):
         report.warnings.append("ontology contains a cycle (cyclic IS-A is "
                                "almost certainly a modeling error)")
     symbols, _ = symbol_universe(t)

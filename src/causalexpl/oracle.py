@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import FrozenSet, Set, Tuple
 
-from .closure import PairSet, impco_closure, ont_closure, relation_rows
+from .closure import PairSet, impco_closure, ont_closure
 from .model import ExplanationAtom, Symbol, Theory, symbol_universe
 
 
@@ -27,7 +27,9 @@ def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:
 
     ontt = set(ont_closure(t.ontology))
     ontt.update((s, s) for s in symbol_e)  # explicit reflexivity
-    supers, _ = relation_rows(ontt)  # every symbol of symbolE has a row
+    supers = defaultdict(set)  # every symbol of symbolE has a row
+    for d, g in ontt:
+        supers[d].add(g)
     impco = impco_closure(t.causal, t.ontology, symbol_e)
 
     Key = Tuple[Symbol, Symbol, FrozenSet[Symbol]]

@@ -336,10 +336,6 @@ def _parse_json_stage(data: dict) -> ParseResult:
     return ParseResult(theory=Theory(), stage=stage, warnings=[])
 
 
-def parse_theory(text: str) -> Theory:
-    return parse_input(text).theory
-
-
 # -- emission ---------------------------------------------------------------
 
 def _emit_units(values, fields) -> List[str]:

@@ -362,6 +362,16 @@ def test_dump_theory_round_trip(capsys, diagram_file, tmp_path):
     assert out2 == out
 
 
+def test_dump_theory_prints_parse_warnings(capsys, tmp_path):
+    src = tmp_path / "taut.lp"
+    src.write_text("cause(a,b). true(a) v -true(a) v true(b).\n")
+    warning = ("warning: line 1: tautology dropped: "
+               "-true(a) v true(a) v true(b)\n")
+    for argv in (["--dump-theory"], ["--stage", "gen"]):
+        assert main([str(src)] + argv) == 0
+        assert capsys.readouterr().err == warning
+
+
 def test_oracle_mode_matches_pipeline_optimal(capsys, diagram_file):
     code, oracle_out = run(capsys, diagram_file, "--stage", "opt", "--oracle")
     assert code == 0

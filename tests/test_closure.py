@@ -60,10 +60,19 @@ def test_closures_match_bfs_reachability(seed):
     edges = [(ca.cause, ca.effect) for ca in t.causal]
     edges += [(oa.sub, oa.super) for oa in t.ontology]
 
-    assert set(ont_closure(t.ontology)) == _bfs_pairs(
-        (oa.sub, oa.super) for oa in t.ontology)
+    ontt = _bfs_pairs((oa.sub, oa.super) for oa in t.ontology)
+    assert set(ont_closure(t.ontology)) == ontt
     expected = _bfs_pairs(edges) | {(s, s) for s in symbol_e}
     assert set(impco_closure(t.causal, t.ontology, symbol_e)) == expected
+
+    # the closure index holds the same relations as int rows keyed by bits
+    c = compute_closures(t)
+    for pairs, (above, below) in ((ontt, c[:2]), (expected, c[2:])):
+        assert _mask_pairs(above) == pairs
+        assert {(a, b) for b, a in _mask_pairs(below)} == pairs
+        for rows in (above, below):
+            assert all(type(bit) is int and bit.bit_count() == 1
+                       and type(row) is int for bit, row in rows.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,8 +113,8 @@ def test_rows_hold_exactly_the_pairs(seed, acyclic):
     t = random_theory(random.Random(seed), acyclic=acyclic)
     c = compute_closures(t)
     ontt, impco = ont_closure(t.ontology), impco_pairs(t)
-    assert {(a, b) for a, row in c.ontt_supers.items() for b in row} == ontt
-    assert {(a, b) for b, row in c.ontt_subs.items() for a in row} == ontt
+    assert _mask_pairs(c.ontt_above) == ontt
+    assert {(a, b) for b, a in _mask_pairs(c.ontt_below)} == ontt
     assert _mask_pairs(c.impco_above) == impco
     assert {(a, b) for b, a in _mask_pairs(c.impco_below)} == impco
     # a symbol with no pair has no row

@@ -12,7 +12,7 @@ from causalexpl.generate import (InitialExplanation, ecinit_base, ecinit_full,
                                  gather_transitive, generate, reduce_conditions,
                                  seed_ecsets)
 from causalexpl.model import (CausalAtom, ExplanationAtom, OntAtom, Theory,
-                             sym)
+                             members, sym)
 from causalexpl.optimize import optimize
 from conftest import atom_keys, impco_pairs, chain_theory, random_theory
 
@@ -67,25 +67,32 @@ def test_double_ontology_dominance_pruning():
 def _parent_initial_rules(t, c):
     """The rules as first written: three walks over cause x sub x super."""
     impco = impco_pairs(t)
+
+    def supers(s):
+        return members(c.ontt_above.get(s.bit, 0))
+
+    def subs(s):
+        return members(c.ontt_below.get(s.bit, 0))
+
     base = set()
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         base.add(InitialExplanation(i, x, i))
-        for j in c.ontt_subs.get(x, ()):
+        for j in subs(x):
             base.add(InitialExplanation(i, j, i if (i, j) in impco else j))
-        for j in c.ontt_supers.get(x, ()):
+        for j in supers(x):
             base.add(InitialExplanation(i, j, i))
-        for e in c.ontt_subs.get(x, ()):
+        for e in subs(x):
             if (i, e) in impco:
-                for j in c.ontt_supers.get(e, ()):
+                for j in supers(e):
                     base.add(InitialExplanation(i, j, i))
     full = set(base)
     for ca in t.causal:
         i, x = ca.cause, ca.effect
-        for e in c.ontt_subs.get(x, ()):
+        for e in subs(x):
             if (i, e) not in impco:
                 full.update(InitialExplanation(i, j, e)
-                            for j in c.ontt_supers.get(e, ()))
+                            for j in supers(e))
     return base, full
 
 

@@ -165,13 +165,16 @@ def test_pipeline_matches_oracle_where_dominance_meets_a_cycle(name):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="mutual-implication cycles need element substitution, which "
-           "neither the staged rules nor the reference rules' pipeline "
-           "counterpart performs; see the divergence analysis in the "
-           "optimizer/oracle notes")
+    reason="gathering composes a derived atom only with an initial step; "
+           "the oracle also composes two derived atoms and then drops "
+           "implied members, which reaches condition sets gathering "
+           "misses on this cycle")
 def test_pipeline_matches_oracle_on_a_cyclic_theory():
-    # s2 and s4 imply each other (ont(s2,s4) + cause(s4,s2)); the oracle
-    # substitutes s4 for s2 inside condition sets, the pipeline cannot.
+    # s2 and s4 imply each other (ont(s2,s4) + cause(s4,s2)).  The oracle
+    # alone has (s3, s2, {s3, s4}) and (s3, s4, {s3, s4}): it composes two
+    # derived atoms and then drops implied members, while gathering
+    # composes a derived atom only with an initial step.  The pipeline has
+    # no atom the oracle lacks.
     t = Theory(
         causal=frozenset([CausalAtom(sym("s3"), sym("s0")),
                           CausalAtom(sym("s4"), sym("s2"))]),

@@ -4,13 +4,13 @@ import pytest
 from causalexpl.cli import RunConfig, RunResult, render_text
 from causalexpl.model import CausalAtom, Literal, OntAtom, Symbol, sym
 from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_theory,
-                               parse_input, parse_theory)
+                               parse_input)
 from conftest import atom_keys
 
 
 def test_basic_facts():
-    t = parse_theory("cause(alpha,beta). ont(beta,beta2). "
-                     "true(alpha). -true(gamma1). symbol(iota).")
+    t = parse_input("cause(alpha,beta). ont(beta,beta2). "
+                    "true(alpha). -true(gamma1). symbol(iota).").theory
     assert CausalAtom(sym("alpha"), sym("beta")) in t.causal
     assert OntAtom(sym("beta"), sym("beta2")) in t.ontology
     assert Literal(sym("alpha"), True) in t.facts
@@ -19,12 +19,12 @@ def test_basic_facts():
 
 
 def test_comments_and_whitespace():
-    t = parse_theory("""
+    t = parse_input("""
         % a comment line
         cause( alpha , beta ).   % trailing comment
           ont(beta,
               beta2).
-    """)
+    """).theory
     assert len(t.causal) == 1 and len(t.ontology) == 1
 
 
@@ -55,7 +55,7 @@ def test_wider_tautology_dropped_with_warning():
 
 
 def test_structured_symbols():
-    t = parse_theory("cause([own,tom,book],happy). ont([p],[q]).")
+    t = parse_input("cause([own,tom,book],happy). ont([p],[q]).").theory
     (ca,) = t.causal
     assert ca.cause == Symbol("own", ("tom", "book"))
     (oa,) = t.ontology
@@ -63,7 +63,7 @@ def test_structured_symbols():
 
 
 def test_one_symbol_object_per_name_in_a_parse():
-    t = parse_theory("cause(alpha,[p,x]). true(alpha). -true([p,x]).")
+    t = parse_input("cause(alpha,[p,x]). true(alpha). -true([p,x]).").theory
     (ca,) = t.causal
     facts = {lit.positive: lit.atom for lit in t.facts}
     assert facts[True] is ca.cause and facts[False] is ca.effect
@@ -74,9 +74,9 @@ def test_one_symbol_object_per_name_in_a_parse():
 
 
 def test_lifting_facts():
-    t = parse_theory("ont_object(tom,student). onekind(heard). "
+    t = parse_input("ont_object(tom,student). onekind(heard). "
                      "allkind(like). all_onekind(own). propkind(alpha). "
-                     "restr(own). kindPar(own,student,book).")
+                    "restr(own). kindPar(own,student,book).").theory
     assert len(t.object_ontology) == 1
     kd = t.kind_decls
     assert kd.onekind == frozenset({"heard"})
@@ -97,41 +97,42 @@ def test_stage_fact_lines():
 
 def test_syntax_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
-        parse_theory("cause(a,b).\nont(a).")
+        parse_input("cause(a,b).\nont(a).").theory
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError):
-        parse_theory("cause(a,b)")  # missing period
+        parse_input("cause(a,b)").theory  # missing period
     with pytest.raises(ParseError):
-        parse_theory("frobnicate(a).")
+        parse_input("frobnicate(a).").theory
     with pytest.raises(ParseError):
-        parse_theory("-ont(a,b).")
+        parse_input("-ont(a,b).").theory
 
 
 def test_contradictory_unit_facts_hard_error():
     with pytest.raises(ParseError):
-        parse_theory("true(a). -true(a).")
+        parse_input("true(a). -true(a).").theory
 
 
 @pytest.mark.parametrize("text", ["cause(a,b).\n-cause(a,b).",
                                   "-cause(a,b).\ncause(a,b)."])
 def test_contradictory_causal_facts_hard_error(text):
     with pytest.raises(ParseError) as err:
-        parse_theory(text)
+        parse_input(text).theory
     assert str(err.value) == "line 2: contradictory unit facts on cause(a,b)"
 
 
 def test_disjunction_of_one_literal_is_a_unit_fact():
-    assert parse_theory("true(a) v true(a).") == parse_theory("true(a).")
-    assert parse_theory("cause(c,d) v cause(c,d).") == \
-        parse_theory("cause(c,d).")
+    assert parse_input("true(a) v true(a).").theory == \
+        parse_input("true(a).").theory
+    assert parse_input("cause(c,d) v cause(c,d).").theory == \
+        parse_input("cause(c,d).").theory
     with pytest.raises(ParseError) as err:
-        parse_theory("true(a).\n-true(a) v -true(a).")
+        parse_input("true(a).\n-true(a) v -true(a).").theory
     assert str(err.value) == "line 2: contradictory unit facts on a"
 
 
 def test_reflexive_object_ontology_rejected():
     with pytest.raises(ParseError):
-        parse_theory("ont_object(bell,bell).")
+        parse_input("ont_object(bell,bell).").theory
 
 
 def test_theory_round_trip(diagram_text):

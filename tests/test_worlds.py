@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 
 import causalexpl
 from causalexpl import cli, model
-from causalexpl.closure import (compute_closures, impco_closure,
-                               relation_rows)
+from causalexpl.closure import compute_closures, impco_closure
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Symbol, Theory, sym, symbol_universe)
@@ -243,7 +243,10 @@ def _reference_worlds(t, inclusive):
         for ca in causal:
             causal_truth[ca] = True
         # impco is transitive: one step from each chosen atom closes truth
-        succ, pred = relation_rows(impco_closure(causal, t.ontology, symbol_e))
+        succ, pred = defaultdict(set), defaultdict(set)
+        for a, b in impco_closure(causal, t.ontology, symbol_e):
+            succ[a].add(b)
+            pred[b].add(a)
         if any(truth.setdefault(other, value) != value
                for s, value in list(truth.items())
                for other in (succ if value else pred).get(s, ())):
