@@ -22,7 +22,8 @@ texts its sort key holds.  Atoms verified in the same worlds share one
 verdict.  The report is written to its stream in slices.
 
 Exit codes: 0 success (a reader closing stdout early too), 1 input error
-(an unwritable --out too), 2 world overflow, 3 internal error.
+(an unwritable --out too), 2 world overflow, 3 internal error.  Warnings
+go to stderr whatever the exit code, before a failing run's error line.
 """
 from __future__ import annotations
 
@@ -73,20 +74,17 @@ class RunResult:
 
 def apply_lifting(t: Theory, warnings: List[str]) -> Theory:
     """Expand object-level IS-A links into atom-level ontology entries."""
-    kinds = t.kind_decls
-    if kinds is None:
-        return t
-    used = {s.name for pair in ((ca.cause, ca.effect) for ca in t.causal)
-            for s in pair if s.structured}
-    report = lift(t.object_ontology, kinds, used_predicates=sorted(used))
-    warnings.extend(report.warnings)
-    restricted = apply_restrictions(report.atoms, kinds)
+    restricted = apply_restrictions(lift(t.object_ontology, t.kind_decls),
+                                    t.kind_decls)
     warnings.extend(restricted.warnings)
     return t._replace(ontology=frozenset(t.ontology) | restricted.atoms)
 
 
-def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig) -> RunResult:
-    result = RunResult()
+def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
+                 result: Optional[RunResult] = None) -> RunResult:
+    """Run config's stages on t into result (a new RunResult by default),
+    which holds what was found so far, warnings too, when a stage raises."""
+    result = RunResult() if result is None else result
     report = validate_theory(t, lifting=config.lifting)
     result.warnings.extend(report.warnings)
     if not report.ok:
@@ -335,11 +333,8 @@ def _write_worlds(result: RunResult, order: List[ExplanationAtom],
 
 def _merge(parts):
     """Field-by-field union of namedtuple values of one type (theories with
-    their kind declarations, or stage facts): sets are joined, namedtuple
-    fields are merged the same way, and None counts as empty."""
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return None
+    their kind declarations, or stage facts): sets are joined, and
+    namedtuple fields are merged the same way."""
     if not isinstance(parts[0], tuple):
         return frozenset().union(*parts)
     return type(parts[0])(*map(_merge, zip(*parts)))
@@ -382,6 +377,28 @@ def _write_slices(text: str, stream):
         stream.write(text[start:start + _SLICE])
 
 
+def _report(args, config: RunConfig, result: RunResult) -> str:
+    """The text main writes, the canonical theory or the run's report; the
+    parser's warnings, then the run's, are added to result as found."""
+    theories, stages = [], []
+    for name in args.inputs:
+        if name == "-":
+            text = sys.stdin.read()
+        else:
+            with open(name) as fh:
+                text = fh.read()
+        parsed = parse_input(text)
+        theories.append(parsed.theory)
+        stages.append(parsed.stage)
+        result.warnings.extend(parsed.warnings)
+    theory, stage_in = _merge(theories), _merge(stages)
+    if args.dump_theory:
+        return emit_theory(theory)
+    run_pipeline(theory, stage_in, config, result)
+    return (render_json(result, config) if args.fmt == "json"
+            else render_text(result, config))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.max_worlds < 1:
@@ -390,29 +407,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = RunConfig(stage=args.stage, max_worlds=args.max_worlds,
                        inclusive_disjunction=args.inclusive_disjunction,
                        lifting=args.lift, oracle=args.oracle)
+    result = RunResult()
     try:
-        theories, stages = [], []
-        warnings: List[str] = []
-        for name in args.inputs:
-            if name == "-":
-                text = sys.stdin.read()
-            else:
-                with open(name) as fh:
-                    text = fh.read()
-            parsed = parse_input(text)
-            theories.append(parsed.theory)
-            stages.append(parsed.stage)
-            warnings.extend(parsed.warnings)
-        theory, stage_in = _merge(theories), _merge(stages)
-        if args.dump_theory:
-            out = emit_theory(theory)
-        else:
-            result = run_pipeline(theory, stage_in, config)
-            result.warnings = warnings = warnings + result.warnings
-            out = (render_json(result, config) if args.fmt == "json"
-                   else render_text(result, config))
-        for w in warnings:
-            print("warning: %s" % w, file=sys.stderr)
+        try:
+            out = _report(args, config, result)
+        finally:  # the warnings found before a failure too
+            for w in result.warnings:
+                print("warning: %s" % w, file=sys.stderr)
         if args.out:
             with open(args.out, "w") as fh:
                 _write_slices(out, fh)

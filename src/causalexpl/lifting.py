@@ -12,9 +12,10 @@ propkind    -- plain propositional objects
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Set
+from typing import FrozenSet, Iterable, Set
 
-from .model import OntAtom, Symbol, checked_make
+# KindDeclarations is a Theory field, so model defines it
+from .model import KindDeclarations, OntAtom, Symbol, checked_make
 
 
 class ObjectOntAtom(namedtuple("ObjectOntAtom", "sub super")):
@@ -31,39 +32,8 @@ class ObjectOntAtom(namedtuple("ObjectOntAtom", "sub super")):
         return "ont_object(%s,%s)" % (self.sub, self.super)
 
 
-class KindDeclarations(namedtuple(
-        "KindDeclarations", "onekind allkind all_onekind propkind restricted "
-        "kind_par", defaults=(frozenset(),) * 6)):
-    """Sets of predicate names per kind; kind_par holds (p, x, y) triples."""
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, *args, **kwargs):
-        decls = super().__new__(cls, *args, **kwargs)
-        decls.__post_init__()
-        return decls
-
-    def __post_init__(self):
-        """Raises ValueError when a predicate has two kinds."""
-        kinds = [("onekind", self.onekind), ("allkind", self.allkind),
-                 ("all_onekind", self.all_onekind), ("propkind", self.propkind)]
-        for i, (name_a, set_a) in enumerate(kinds):
-            for name_b, set_b in kinds[i + 1:]:
-                clash = set_a & set_b
-                if clash:
-                    raise ValueError("predicate(s) %s declared both %s and %s"
-                                     % (sorted(clash), name_a, name_b))
-
-    def declared_predicates(self) -> Set[str]:
-        return set(self.onekind) | set(self.allkind) | set(self.all_onekind) \
-            | set(self.propkind)
-
-
-LiftReport = namedtuple("LiftReport", "atoms warnings")
-
-
-def lift(obj_ont: Iterable[ObjectOntAtom], kinds: KindDeclarations,
-         used_predicates: Iterable[str] = ()) -> LiftReport:
+def lift(obj_ont: Iterable[ObjectOntAtom], kinds: KindDeclarations
+         ) -> FrozenSet[OntAtom]:
     """Expand object links into atom-level OntAtoms over structured symbols.
 
     The binary rule factors each instance through the intermediate atom with
@@ -89,13 +59,11 @@ def lift(obj_ont: Iterable[ObjectOntAtom], kinds: KindDeclarations,
                 atoms.add(OntAtom(Symbol(p, (x, y)), Symbol(p, (x1, y1))))
                 atoms.add(OntAtom(Symbol(p, (x1, y)), Symbol(p, (x1, y1))))
                 atoms.add(OntAtom(Symbol(p, (x, y)), Symbol(p, (x1, y))))
+    return frozenset(atoms)
 
-    warnings = []
-    declared = kinds.declared_predicates()
-    for name in sorted(set(used_predicates) - declared):
-        warnings.append("predicate %r has no kind declaration and never "
-                        "yields ontological atoms" % name)
-    return LiftReport(atoms=frozenset(atoms), warnings=warnings)
+
+# apply_restrictions' result: the atoms kept, and its warnings
+LiftReport = namedtuple("LiftReport", "atoms warnings")
 
 
 def apply_restrictions(lifted: Iterable[OntAtom], kinds: KindDeclarations

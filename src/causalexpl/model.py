@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
-                    Optional, Tuple, Union)
+                    Optional, Set, Tuple, Union)
 
 
 # the symbol or causal atom of each process-wide number, and its text
@@ -169,8 +169,9 @@ def checked_make(cls, iterable):
 class Clause(namedtuple("Clause", "literals")):
     """A disjunction of literals (one CNF clause).
 
-    Duplicate literals are collapsed by construction; tautologies are the
-    parser's problem (dropped there with a warning).
+    Duplicate literals are collapsed by construction; a tautology is
+    dropped with a warning by the parser, and by
+    ``Theory.disjunctive_facts`` in a theory built in code.
     """
     __slots__ = ()
     _make = checked_make
@@ -272,6 +273,34 @@ def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
         i: sorted(map(rank.__getitem__, atoms)) for i, atoms in groups.items()}
 
 
+class KindDeclarations(namedtuple(
+        "KindDeclarations", "onekind allkind all_onekind propkind restricted "
+        "kind_par", defaults=(frozenset(),) * 6)):
+    """Sets of predicate names per kind; kind_par holds (p, x, y) triples."""
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, *args, **kwargs):
+        decls = super().__new__(cls, *args, **kwargs)
+        decls.__post_init__()
+        return decls
+
+    def __post_init__(self):
+        """Raises ValueError when a predicate has two kinds."""
+        kinds = [("onekind", self.onekind), ("allkind", self.allkind),
+                 ("all_onekind", self.all_onekind), ("propkind", self.propkind)]
+        for i, (name_a, set_a) in enumerate(kinds):
+            for name_b, set_b in kinds[i + 1:]:
+                clash = set_a & set_b
+                if clash:
+                    raise ValueError("predicate(s) %s declared both %s and %s"
+                                     % (sorted(clash), name_a, name_b))
+
+    def declared_predicates(self) -> Set[str]:
+        return set(self.onekind) | set(self.allkind) | set(self.all_onekind) \
+            | set(self.propkind)
+
+
 class Theory(namedtuple("Theory", (
         "causal",            # of CausalAtom
         "ontology",          # of OntAtom
@@ -280,15 +309,17 @@ class Theory(namedtuple("Theory", (
         "declared",          # of Symbol (explicit symbol/1)
         "completions",       # of Symbol | CausalAtom to complete
         "object_ontology",   # of ObjectOntAtom (lifting input)
-        "kind_decls"),       # KindDeclarations or None
-        defaults=(frozenset(),) * 7 + (None,))):
+        "kind_decls"),       # KindDeclarations (lifting input)
+        defaults=(frozenset(),) * 7 + (KindDeclarations(),))):
     """The user-supplied premises: C (causal), O (ontology) and W (clauses)."""
     __slots__ = ()
 
     @property
     def disjunctive_facts(self) -> frozenset:
-        """Clauses with two or more literals, usable as world generators."""
-        return frozenset(c for c in self.clauses if len(c.literals) >= 2)
+        """Clauses with two or more literals, usable as world generators; a
+        tautology is dropped, as validate_theory warns and the parser does."""
+        return frozenset(c for c in self.clauses
+                         if len(c.literals) >= 2 and not c.is_tautology())
 
     def with_causal(self, causal: Iterable[CausalAtom]) -> "Theory":
         """Copy with a different causal atom set (per-world reinterpretation)."""
@@ -361,14 +392,12 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
                                "almost certainly a modeling error)")
     symbols, _ = symbol_universe(t)
     flat_names = {s.name for s in symbols if not s.structured}
-    pred_names = {s.name for s in symbols if s.structured}
-    if t.kind_decls is not None:
-        pred_names |= t.kind_decls.declared_predicates()
+    known = t.kind_decls.declared_predicates()
+    pred_names = {s.name for s in symbols if s.structured} | known
     for name in sorted(flat_names & pred_names):
         report.warnings.append(
             "name %r used both as a propositional constant and a predicate" % name)
     if lifting:
-        known = t.kind_decls.declared_predicates() if t.kind_decls else set()
         for s in sorted(symbols):
             if s.structured and s.name not in known:
                 report.errors.append(

@@ -24,9 +24,9 @@ import re
 from collections import defaultdict, namedtuple
 from typing import Dict, List, Optional, Set
 
-from .lifting import KindDeclarations, ObjectOntAtom
-from .model import (CausalAtom, Clause, ExplanationAtom, Literal, OntAtom,
-                    Symbol, Theory)
+from .lifting import ObjectOntAtom
+from .model import (CausalAtom, Clause, ExplanationAtom, KindDeclarations,
+                    Literal, OntAtom, Symbol, Theory)
 
 
 # A unit statement adds make(*arguments) to the Theory or KindDeclarations
@@ -130,6 +130,14 @@ class _Parser:
             raise ParseError("expected a name, found %r" % tok.text, tok.line)
         return tok
 
+    def _list(self, item) -> List:
+        """item()'s values, one more while the next token is a comma."""
+        out = [item()]
+        while self._peek() is not None and self._peek().text == ",":
+            self._next()
+            out.append(item())
+        return out
+
     # -- grammar -----------------------------------------------------------
     def parse(self) -> ParseResult:
         while self._peek() is not None:
@@ -163,20 +171,14 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.text == "[":
             self._next()
-            parts = [self._name().text]
-            while self._peek() is not None and self._peek().text == ",":
-                self._next()
-                parts.append(self._name().text)
+            parts = self._list(lambda: self._name().text)
             self._next("]")
             return Symbol(parts[0], tuple(parts[1:]))
         return Symbol(self._name().text)
 
     def _args(self, count: int, head: _Token) -> List:
         self._next("(")
-        out = [self._symbol()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            out.append(self._symbol())
+        out = self._list(self._symbol)
         self._next(")")
         if len(out) != count:
             raise ParseError("%s expects %d argument(s), found %d"
@@ -229,10 +231,7 @@ class _Parser:
         j = self._symbol()
         self._next(",")
         self._next("{")
-        members = [self._symbol()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            members.append(self._symbol())
+        members = self._list(self._symbol)
         self._next("}")
         self._next(")")
         try:
@@ -356,6 +355,5 @@ def emit_theory(t: Theory) -> str:
         lines.append("%s v %s." % (pos, pos.negated()))
     for values in (t.clauses, t.object_ontology):
         lines += ["%s." % (x,) for x in sorted(values, key=str)]
-    if t.kind_decls is not None:
-        lines += _emit_units(t.kind_decls, KindDeclarations._fields)
+    lines += _emit_units(t.kind_decls, KindDeclarations._fields)
     return "\n".join(lines) + ("\n" if lines else "")

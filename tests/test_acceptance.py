@@ -94,7 +94,7 @@ def test_criterion_4_binary_lifting(announce):
                                 ("own", "tom", "book")}))
         lifted = lift([ObjectOntAtom("tom", "student"),
                        ObjectOntAtom("book", "document")], kinds)
-        result = apply_restrictions(lifted.atoms, kinds).atoms
+        result = apply_restrictions(lifted, kinds).atoms
         expected = frozenset({
             OntAtom(Symbol("own", ("tom", "book")),
                     Symbol("own", ("tom", "document"))),

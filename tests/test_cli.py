@@ -190,6 +190,36 @@ def test_contradictory_causal_facts_in_two_files_exit_1(capsys, tmp_path):
     assert captured.err == "error: contradictory unit facts on cause(a,b)\n"
 
 
+SELF_CAUSE = "warning: self-cause: cause(a,a)\n"
+
+
+@pytest.mark.parametrize("texts, flags, code, err", [
+    (["cause(a,b). true(a) v -true(a) v true(b). ont(c,c)."], [], 1,
+     "warning: line 1: tautology dropped: -true(a) v true(a) v true(b)\n"
+     "warning: ontology contains a cycle (cyclic IS-A is almost certainly "
+     "a modeling error)\n"
+     "error: reflexive ontology atom: ont(c,c)\n"),
+    (["cause(a,a). true(x) v -true(x). true(y) v -true(y)."],
+     ["--max-worlds", "2"], 2,
+     SELF_CAUSE + "error: more than max_worlds = 2 worlds survive "
+     "enumeration\n"),
+    (["cause(a,a). true(a) v true(b). -true(a). -true(b)."], [], 1,
+     SELF_CAUSE + "error: inconsistent premises: no world survives\n"),
+    (["cause(a,a). cause(a,b).", "ecSetRes(zz,qq,{zz})."], [], 1,
+     SELF_CAUSE + "error: stage input zz explains qq with qq, zz, which "
+     "the theory does not mention\n"),
+], ids=["parse-then-validation", "overflow", "no-world", "stage-input"])
+def test_warnings_are_printed_before_a_failure(capsys, tmp_path, texts,
+                                               flags, code, err):
+    files = [tmp_path / ("input%d.lp" % n) for n in range(len(texts))]
+    for path, text in zip(files, texts):
+        path.write_text(text + "\n")
+    assert main(list(map(str, files)) + flags) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_world_overflow_exit_2(capsys, tmp_path):
     lines = "".join("true(c%d) v -true(c%d).\n" % (i, i) for i in range(12))
     src = tmp_path / "many.lp"
@@ -351,6 +381,17 @@ def test_lift_flag_feeds_pipeline(capsys, tmp_path):
     code, out = run(capsys, str(src), "--stage", "gen", "--lift")
     assert code == 0
     assert "ecSet(x,[heard,bell],{x})." in out.splitlines()
+
+
+def test_undeclared_lifted_predicate_exit_1(capsys, tmp_path):
+    # validate_theory alone judges a predicate with no kind declaration
+    src = tmp_path / "mystery.lp"
+    src.write_text("cause(x,[mystery,a]). onekind(heard).\n")
+    assert main([str(src), "--lift"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: structured symbol [mystery,a] uses "
+                            "predicate 'mystery' with no kind declaration\n")
 
 
 def test_dump_theory_round_trip(capsys, diagram_file, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from causalexpl import lifting, model
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Symbol, Theory, sym, symbol_universe,
                               validate_theory)
@@ -144,6 +145,15 @@ def test_validate_lifting_requires_kind_declarations():
     assert validate_theory(t, lifting=False).ok
 
 
+def test_no_kind_declarations_have_one_shape():
+    # a theory built in code, parsed from a fact file or read from a JSON
+    # stage report holds the empty declarations, never None
+    assert lifting.KindDeclarations is model.KindDeclarations
+    assert Theory().kind_decls == KindDeclarations()
+    for text in ("cause(a,b).", '{"explanations": []}'):
+        assert parse_input(text).theory.kind_decls == KindDeclarations()
+
+
 # -- one object per value ----------------------------------------------------
 
 def _four_routes():
@@ -152,7 +162,7 @@ def _four_routes():
     (parsed,) = parse_input("ecSet(y,[at,x],{y}).").stage.generated
     by_hand = ExplanationAtom(sym("y"), sym("at", "x"), (sym("y"),))
     (lifted,) = lift([ObjectOntAtom("x", "z")],
-                     KindDeclarations(onekind=frozenset({"at"}))).atoms
+                     KindDeclarations(onekind=frozenset({"at"})))
     from_lift = ExplanationAtom(sym("y"), lifted.sub, (sym("y"),))
     (from_json,) = parse_input(json.dumps({"explanations": [
         {"from": "y", "to": "[at,x]", "conditions": ["y"]}]})).stage.generated

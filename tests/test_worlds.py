@@ -59,6 +59,24 @@ def test_disjunctive_fact_exclusive_vs_inclusive():
     assert len(enumerate_worlds(t, inclusive_disjunction=True)) == 3
 
 
+def test_tautology_is_no_choice_axis():
+    # validate_theory warns that the clause is dropped, and the parser drops
+    # it: a theory built in code holding it has the parsed theory's worlds
+    text = "cause(a,b). -true(a) v true(a) v true(b)."
+    built = Theory(causal=frozenset([CausalAtom(sym("a"), sym("b"))]),
+                   clauses=frozenset([_clause(Literal(sym("a"), False),
+                                              Literal(sym("a"), True),
+                                              Literal(sym("b"), True))]))
+    runs = [cli.run_pipeline(t, StageFacts(), cli.RunConfig())
+            for t in (built, parse_input(text).theory)]
+    built_worlds, parsed_worlds = [
+        [(w.index, w.chosen, w.true, w.false, w.causal) for w in run.worlds]
+        for run in runs]
+    assert built_worlds == parsed_worlds and len(built_worlds) == 1
+    assert runs[0].warnings == [
+        "tautology dropped: -true(a) v true(a) v true(b)"]
+
+
 def test_causal_disjunct_changes_world_causal_set():
     b2g = CausalAtom(sym("beta2"), sym("gamma"))
     e3g3 = CausalAtom(sym("epsilon3"), sym("gamma3"))
