@@ -22,24 +22,27 @@ texts its sort key holds.  Atoms verified in the same worlds share one
 verdict.  The report is written to its stream in slices.
 
 Exit codes: 0 success (a reader closing stdout early too), 1 input error
-(an unwritable --out too), 2 world overflow, 3 internal error.  Warnings
-go to stderr whatever the exit code, before a failing run's error line.
+(an unwritable --out and a usage error too), 2 world overflow, 3 internal
+error.  Warnings go to stderr whatever the exit code, before a failing
+run's error line.  JSON is imported only to read or write JSON.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
+import gc
 import os
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .closure import compute_closures, impco_closure
 from .generate import generate
 from .lifting import apply_restrictions, lift
-from .model import (ExplanationAtom, Literal, Theory, atom_body, members,
-                    ranked_atoms, symbol_universe, validate_theory)
+from .model import (ExplanationAtom, Literal, Theory, atom_body,
+                    atom_sort_key, members, ranked_atoms, symbol_universe,
+                    validate_theory)
 from .optimize import optimize
 from .oracle import OracleBoundError
 from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
@@ -92,13 +95,17 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
     if config.lifting:
         t = apply_lifting(t, result.warnings)
     symbols, _ = symbol_universe(t)
-    for atom in stage_in.generated | stage_in.optimal:
-        unknown = (atom.conditions | {atom.target}) - symbols
-        if unknown:
-            raise ValueError(
-                "stage input %s explains %s with %s, which the theory does "
-                "not mention" % (atom.source, atom.target,
-                                 ", ".join(map(str, sorted(unknown)))))
+    # the offending atom named is the one that sorts first, so that one
+    # input gives one error text
+    foreign = min((atom for atom in stage_in.generated | stage_in.optimal
+                   if not atom.conditions | {atom.target} <= symbols),
+                  key=atom_sort_key, default=None)
+    if foreign is not None:
+        unknown = (foreign.conditions | {foreign.target}) - symbols
+        raise ValueError(
+            "stage input %s explains %s with %s, which the theory does "
+            "not mention" % (foreign.source, foreign.target,
+                             ", ".join(map(str, sorted(unknown)))))
 
     # closures are built once per causal set, keyed by its mask, here for
     # the base set when a stage reads them or by enumerate_worlds, and
@@ -240,14 +247,14 @@ _OBJECT, _KEY = " " * 4, " " * 6
 _KEY_LINE, _CLOSE = ",\n" + _KEY, "\n" + _OBJECT + "}"
 
 
-def _atom_head(key: tuple) -> str:
+def _atom_head(key: tuple, quote) -> str:
     """The object at depth 2, up to its "conditions", of the atom whose
-    atom_sort_key is key; the keys of the place it is written in and the
-    closing brace follow."""
+    atom_sort_key is key, its texts written by quote; the keys of the place
+    it is written in and the closing brace follow."""
     source, target, conditions = key
     out = ['{\n%s"from": %s%s"to": %s%s"conditions": ' % (
-        _KEY, _quote(source), _KEY_LINE, _quote(target), _KEY_LINE)]
-    _items(map(_quote, conditions), _KEY, out)
+        _KEY, quote(source), _KEY_LINE, quote(target), _KEY_LINE)]
+    _items(map(quote, conditions), _KEY, out)
     return "".join(out)
 
 
@@ -257,27 +264,29 @@ def render_json(result: RunResult, config: RunConfig) -> str:
     "conditions" are written once, as its head; a verified atom's block, a
     fact's text and a world's index are written once and spliced into
     every world or verdict that lists them."""
+    from json.encoder import encode_basestring_ascii as quote
     sections, verifies, order, keys, ranks = _ranked(result, config)
-    heads = list(map(_atom_head, keys))
-    out = ['{\n  "stage": ', _quote(config.stage)]
+    heads = [_atom_head(key, quote) for key in keys]
+    out = ['{\n  "stage": ', quote(config.stage)]
     if result.warnings:
         out.append(',\n  "warnings": ')
-        _items(map(_quote, result.warnings), "  ", out)
+        _items(map(quote, result.warnings), "  ", out)
     for section in sections:
-        tail = '%s"status": %s%s' % (_KEY_LINE, _quote(section.status),
+        tail = '%s"status": %s%s' % (_KEY_LINE, quote(section.status),
                                      _CLOSE)
-        out += (",\n  ", _quote(section.key), ": ")
+        out += (",\n  ", quote(section.key), ": ")
         _items(ranks[section.field], "  ", out,
                lambda out, r: out.extend((heads[r], tail)))
     if verifies:
-        _write_worlds(result, order, ranks, heads, out)
+        _write_worlds(result, order, ranks, heads, out, quote)
     out.append("\n}\n")
     return "".join(out)
 
 
 def _write_worlds(result: RunResult, order: List[ExplanationAtom],
-                  ranks: dict, heads: List[str], out: List[str]):
-    """Append the "worlds" and "verdicts" keys of render_json's report."""
+                  ranks: dict, heads: List[str], out: List[str], quote):
+    """Append the "worlds" and "verdicts" keys of render_json's report, its
+    texts written by quote."""
     # a verified atom's block is its head moved in by two levels (a quoted
     # text holds no line break)
     tail = '%s"status": "verified"%s' % (_KEY_LINE, _CLOSE)
@@ -290,7 +299,7 @@ def _write_worlds(result: RunResult, order: List[ExplanationAtom],
               for side in (0, 1)]
     table = sorted((Literal(atom, side == 0).render(), atom.bit, side)
                    for side in (0, 1) for atom in members(chosen[side]))
-    table = [(bit, side, _quote(text)) for text, bit, side in table]
+    table = [(bit, side, quote(text)) for text, bit, side in table]
     indices = {w.index: int.__repr__(w.index) for w in result.worlds}
     index, facts, explanations = (
         '{\n%s"index": ' % _KEY, '%s"facts": ' % _KEY_LINE,
@@ -340,8 +349,17 @@ def _merge(parts):
     return type(parts[0])(*map(_merge, zip(*parts)))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, the input-error code,
+    not argparse's 2, the world-overflow code; --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="causalexpl",
         description="Derive, prune and verify causal explanation atoms.")
     p.add_argument("inputs", nargs="+", metavar="FILE",
@@ -400,6 +418,25 @@ def _report(args, config: RunConfig, result: RunResult) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI on argv (sys.argv[1:] by default); the exit code.
+
+    A run leaves a few dozen objects in reference cycles however large its
+    input, so the cyclic collector is off while it runs, and then as the
+    caller had it.  gc.freeze runs at interpreter exit, so that exit skips
+    its full collection over every object left; a process that goes on
+    after main collects as before."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Optional[List[str]]) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.max_worlds < 1:
         print("error: --max-worlds must be at least 1", file=sys.stderr)

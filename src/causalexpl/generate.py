@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import and_
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .closure import ClosureRelations, _implied, compute_closures
+from .closure import ClosureRelations, _bits, _implied, compute_closures
 from .model import ExplanationAtom, Symbol, Theory, members
 
 
@@ -139,20 +139,22 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
     originals; the optimizer decides what survives.
     """
     below = c.impco_below
+    # (mask, source bit) -> the masks one removal leaves, whatever the target
+    removals: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     out = set(atoms)
     frontier = list(atoms)
     while frontier:
         i, j, mask = frontier.pop()
-        members = mask & ~i.bit
-        while members:
-            phi = members & -members
-            members ^= phi
-            rest = mask ^ phi
-            if below.get(phi, 0) & rest:
-                reduced = ExplanationAtom._make((i, j, rest))
-                if reduced not in out:
-                    out.add(reduced)
-                    frontier.append(reduced)
+        rests = removals.get((mask, i.bit))
+        if rests is None:
+            rests = removals[(mask, i.bit)] = tuple(
+                mask ^ phi for phi in _bits(mask & ~i.bit)
+                if below.get(phi, 0) & mask & ~phi)
+        for rest in rests:
+            reduced = ExplanationAtom._make((i, j, rest))
+            if reduced not in out:
+                out.add(reduced)
+                frontier.append(reduced)
     return frozenset(out)
 
 

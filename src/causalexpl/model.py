@@ -171,7 +171,8 @@ class Clause(namedtuple("Clause", "literals")):
 
     Duplicate literals are collapsed by construction; a tautology is
     dropped with a warning by the parser, and by
-    ``Theory.disjunctive_facts`` in a theory built in code.
+    ``Theory.disjunctive_facts`` and ``symbol_universe`` in a theory built
+    in code.
     """
     __slots__ = ()
     _make = checked_make
@@ -243,9 +244,10 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
     __str__ = render
 
 
-def condition_texts(atom: ExplanationAtom) -> Tuple[str, ...]:
-    """The texts of an atom's conditions, in the order they are written."""
-    return tuple(sorted(members(atom.mask, _numbered_texts)))
+def condition_texts(mask: int) -> Tuple[str, ...]:
+    """The texts of a condition mask's members, in the order they are
+    written."""
+    return tuple(sorted(members(mask, _numbered_texts)))
 
 
 def atom_body(key: tuple) -> str:
@@ -255,9 +257,13 @@ def atom_body(key: tuple) -> str:
     return "%s,%s,{%s}" % (source, target, ",".join(conditions))
 
 
-def atom_sort_key(atom: ExplanationAtom) -> tuple:
-    """The order every stage's atoms are emitted in: by rendered text."""
-    return (str(atom.source), str(atom.target), condition_texts(atom))
+def atom_sort_key(atom: ExplanationAtom,
+                  texts: Optional[Mapping[int, Tuple[str, ...]]] = None
+                  ) -> tuple:
+    """The order every stage's atoms are emitted in: by rendered text.
+    texts, when given, holds the condition_texts of the atom's mask."""
+    return (atom.source._text, atom.target._text,
+            condition_texts(atom.mask) if texts is None else texts[atom.mask])
 
 
 def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
@@ -265,12 +271,20 @@ def ranked_atoms(groups: Mapping[Hashable, Iterable[ExplanationAtom]]
     """(order, keys, ranks): the distinct atoms of all groups sorted once
     by atom_sort_key, their keys in that order, for the writers to reuse,
     and each group's atoms as ascending positions in that order, so group k
-    in emission order is [order[r] for r in ranks[k]]."""
-    keys = {atom: atom_sort_key(atom) for atom in set().union(*groups.values())}
+    in emission order is [order[r] for r in ranks[k]].  Each distinct mask
+    is decoded once, and groups of equal atoms share one list of ranks."""
+    atoms = set().union(*groups.values())
+    texts = {mask: condition_texts(mask) for mask in {a.mask for a in atoms}}
+    keys = {atom: atom_sort_key(atom, texts) for atom in atoms}
     order = sorted(keys, key=keys.__getitem__)
     rank = {atom: r for r, atom in enumerate(order)}
-    return order, list(map(keys.__getitem__, order)), {
-        i: sorted(map(rank.__getitem__, atoms)) for i, atoms in groups.items()}
+    ranks, shared = {}, {}
+    for i, group in groups.items():
+        group = frozenset(group)  # a frozenset is returned as it is
+        if group not in shared:
+            shared[group] = sorted(map(rank.__getitem__, group))
+        ranks[i] = shared[group]
+    return order, list(map(keys.__getitem__, order)), ranks
 
 
 class KindDeclarations(namedtuple(
@@ -330,7 +344,8 @@ def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:
     """Return (symbol, symbolE).
 
     symbolE holds every symbol occurring in a causal or ontological atom;
-    symbol additionally covers declared symbols and fact/clause symbols.
+    symbol additionally covers declared symbols and fact/clause symbols;
+    a tautological clause contributes none.
     """
     symbol_e = set()
     for ca in t.causal:
@@ -344,8 +359,9 @@ def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:
     for lit in t.facts:
         symbols.update(_literal_symbols(lit))
     for clause in t.clauses:
-        for lit in clause.literals:
-            symbols.update(_literal_symbols(lit))
+        if not clause.is_tautology():  # dropped, as by the parser
+            for lit in clause.literals:
+                symbols.update(_literal_symbols(lit))
     for atom in t.completions:
         if isinstance(atom, CausalAtom):
             symbols.update((atom.cause, atom.effect))

@@ -10,10 +10,16 @@ rows (ClosureRelations.impco_above): every test is int arithmetic.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import FrozenSet, List
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterator, List
 
 from .closure import ClosureRelations, _bits, _implied
 from .model import ExplanationAtom
+
+# a group of more atoms reads the siblings within reach of each atom off
+# per-bit bitsets of positions: testing every sibling is quadratic in the
+# group, and chain 5 has groups of 1,024
+_SCAN_LIMIT = 32
 
 
 def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
@@ -34,25 +40,38 @@ def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
     groups = defaultdict(list)
     for atom in atoms:
         groups[atom[:2]].append(atom)
+    # a sibling that a implies lies within a | implied(a), so it holds no
+    # bit of outside[a]; computed once per distinct mask
+    outside: Dict[int, int] = {}
     kept: List[ExplanationAtom] = []
     for group in groups.values():
-        # holders[bit]: the bitset of the group's atoms whose set holds bit
-        holders = defaultdict(int)
-        for n, atom in enumerate(group):
-            for bit in _bits(atom.mask):
-                holders[bit] |= 1 << n
-        everyone = (1 << len(group)) - 1
-        for n, atom in enumerate(group):
-            a = atom.mask
-            # a sibling that a implies lies within a | implied(a), so it
-            # holds no bit outside that
-            reach = a | _implied(a, above)
-            outside = 1 << n
-            for bit, held in holders.items():
-                if not bit & reach:
-                    outside |= held
-            siblings = (group[m.bit_length() - 1].mask
-                        for m in _bits(everyone ^ outside))
-            if not any(implies(a, b) and not implies(b, a) for b in siblings):
+        masks = [atom.mask for atom in group]
+        for a in masks:
+            if a not in outside:
+                outside[a] = ~(a | _implied(a, above))
+        candidates = (_within_reach(masks, outside)
+                      if len(masks) > _SCAN_LIMIT else repeat(masks))
+        for atom, a, siblings in zip(group, masks, candidates):
+            out = outside[a]
+            for b in siblings:
+                if (not b & out and b != a and implies(a, b)
+                        and not implies(b, a)):
+                    break
+            else:
                 kept.append(atom)
     return frozenset(kept)
+
+
+def _within_reach(masks: List[int], outside: Dict[int, int]
+                  ) -> Iterator[List[int]]:
+    """For each mask a of masks, the masks that hold no bit of outside[a]."""
+    holders = defaultdict(int)  # bit -> the bitset of positions holding it
+    for n, b in enumerate(masks):
+        for bit in _bits(b):
+            holders[bit] |= 1 << n
+    union, everyone = sum(holders), (1 << len(masks)) - 1
+    for a in masks:
+        beyond = 0
+        for bit in _bits(union & outside[a]):
+            beyond |= holders[bit]
+        yield [masks[m.bit_length() - 1] for m in _bits(everyone & ~beyond)]

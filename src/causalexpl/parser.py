@@ -19,7 +19,6 @@ completion request for that atom, not as a (tautological) clause.
 """
 from __future__ import annotations
 
-import json
 import re
 from collections import defaultdict, namedtuple
 from typing import Dict, List, Optional, Set
@@ -281,6 +280,7 @@ def parse_input(text: str) -> ParseResult:
     """Parse a fact file; also accepts a JSON stage report (see
     cli.render_json)."""
     if text.lstrip().startswith("{"):
+        import json  # only JSON input needs it
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError):
@@ -300,11 +300,13 @@ def _symbol_from_text(text) -> Symbol:
                 return s
     except ParseError:
         pass
+    import json
     raise ParseError("not a symbol: %s" % json.dumps(text))
 
 
 def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
+        import json
         raise ParseError("%s must be a list, found %s"
                          % (what, json.dumps(value)))
     return value
@@ -314,6 +316,7 @@ def _json_atom(entry) -> ExplanationAtom:
     """One explanation object; its "status" is ignored."""
     if not (isinstance(entry, dict)
             and {"from", "to", "conditions"} <= entry.keys()):
+        import json
         raise ParseError("an explanation needs \"from\", \"to\" and "
                          "\"conditions\", found %s" % json.dumps(entry))
     conditions = _json_list(entry["conditions"], "\"conditions\"")

@@ -1,5 +1,6 @@
 """CLI behaviour: stages, chaining, formats, exit codes."""
 import contextlib
+import gc
 import io
 import json
 import os
@@ -480,6 +481,52 @@ def test_stage_input_outside_the_theory_exit_1(capsys, tmp_path):
     stage.write_text("ecSetRes(zz,qq,{zz}).\n")
     assert main([str(theory), str(stage), "--stage", "verify"]) == 1
     assert "zz explains qq with qq, zz," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [
+    ["ecSetRes(zz,qq,{zz}).", "ecSetRes(yy,pp,{yy})."],
+    ["ecSetRes(yy,pp,{yy}).", "ecSetRes(zz,qq,{zz})."]])
+def test_stage_input_error_names_the_first_atom_in_sort_order(
+        capsys, tmp_path, lines):
+    theory = tmp_path / "theory.lp"
+    theory.write_text("cause(a,b).\n")
+    stage = tmp_path / "opt.lp"
+    stage.write_text("\n".join(lines) + "\n")
+    assert main([str(theory), str(stage), "--stage", "verify"]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage input yy explains pp with pp, yy, which the theory "
+        "does not mention\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--stage", "bogus", "x.lp"], ["--max-worlds", "abc", "x.lp"],
+    ["--no-such-option", "x.lp"], []],
+    ids=["bad-choice", "bad-int", "unknown-option", "no-file"])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: causalexpl") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: causalexpl")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, diagram_file,
+                                                  enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main([diagram_file]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # -- exit-code fuzzing ----------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalexpl import lifting, model
+from causalexpl.cli import RunConfig, run_pipeline
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Symbol, Theory, sym, symbol_universe,
                               validate_theory)
@@ -95,6 +96,24 @@ def test_symbol_universe(diagram):
     symbols2, symbol_e2 = symbol_universe(extended)
     assert symbol_e2 == symbol_e
     assert sym("outside") in symbols2
+
+
+def test_tautological_clause_adds_no_symbol_in_code_or_text():
+    # the parser drops the clause; a theory built in code keeps it in
+    # clauses, and the universe and the run skip it alike
+    c, d = sym("c"), sym("d")
+    text = "cause(a,b). -true(c) v true(c) v true(d).\n"
+    built = Theory(causal=frozenset([CausalAtom(sym("a"), sym("b"))]),
+                   clauses=frozenset([Clause(frozenset([
+                       Literal(c, False), Literal(c), Literal(d)]))]))
+    parsed = parse_input(text).theory
+    assert parsed.clauses == frozenset() and built.clauses
+    assert symbol_universe(built) == symbol_universe(parsed)
+    assert c not in symbol_universe(built)[0]
+    stage = parse_input("ecSetRes(c,d,{c}).\n").stage
+    for theory in (built, parsed):
+        with pytest.raises(ValueError, match="c explains d with c, d,"):
+            run_pipeline(theory, stage, RunConfig(stage="verify"))
 
 
 def test_validate_reflexive_ontology_is_error():

@@ -1,7 +1,10 @@
 """Optimizer stage: one-way element-wise entailment, which also drops
 strict supersets."""
+import collections
+import importlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,9 @@ from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
 from causalexpl.model import CausalAtom, ExplanationAtom, Theory, sym
 from causalexpl.optimize import optimize
-from conftest import atom_keys, impco_pairs, random_theory
+from conftest import atom_keys, chain_theory, impco_pairs, random_theory
+
+optimize_module = importlib.import_module("causalexpl.optimize")
 
 
 def _conds(*names):
@@ -115,3 +120,30 @@ def test_optimize_properties(seed):
                     continue
                 assert not x < y and not y < x
                 assert not (implies(x, y) and not implies(y, x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_large_group_path_matches_the_scan(seed):
+    # groups above _SCAN_LIMIT read their siblings within reach off per-bit
+    # bitsets; forcing either path on every group gives the same atoms
+    t = random_theory(random.Random(seed))
+    c = compute_closures(t)
+    generated = generate(t, c)
+    results = []
+    for limit in (0, len(generated)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize_module, "_SCAN_LIMIT", limit)
+            results.append(optimize(generated, c))
+    assert results[0] == results[1]
+
+
+def test_chain_groups_take_both_paths(monkeypatch):
+    t = chain_theory(3)
+    c = compute_closures(t)
+    generated = generate(t, c)
+    sizes = collections.Counter(atom[:2] for atom in generated).values()
+    assert min(sizes) <= optimize_module._SCAN_LIMIT < max(sizes)
+    expected = optimize(generated, c)
+    monkeypatch.setattr(optimize_module, "_SCAN_LIMIT", 0)
+    assert optimize(generated, c) == expected
