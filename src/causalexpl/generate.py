@@ -1,91 +1,73 @@
 """Stage 1: derive candidate explanation atoms.
 
-Initial atoms come from the base rules over the closures (ecinit_base),
-and the double-ontology relation is read off their witnesses
-(ecinit_full).  One rule seeds the fixpoint from that relation
-(seed_ecsets), and the transitive condition-gathering fixpoint extends the
-seeds over it, keeping only the subset-minimal condition sets of each
-(source, target) pair (up to symbols on implication cycles).  The rules
-read the closure index's rows, each a symbol's bit (model.Symbol.bit)
-mapped to a mask of symbol bits, and gathering and reduction work on
-condition masks.
+The initial rules (ecinit_full) read the closures once per causal atom and
+give two outputs: the seeds of the fixpoint, each (source, target) pair's
+condition masks, and the steps it composes over, each symbol's
+(target, bit) rules.  The double-ontology relation is part of both, read
+off the witnesses of the base rules.  The transitive condition-gathering
+fixpoint extends the seeds along the steps, keeping only the subset-minimal
+condition sets of each (source, target) pair (up to symbols on implication
+cycles).  The rules read the closure index's rows, each a symbol's bit
+(model.Symbol.bit) mapped to a mask of symbol bits, and gathering and
+reduction work on condition masks.
 """
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from itertools import repeat
 from operator import and_
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from .closure import ClosureRelations, _bits, _implied, compute_closures
 from .model import ExplanationAtom, Symbol, Theory, members
 
+Seeds = Mapping[Tuple[Symbol, Symbol], Tuple[int, ...]]
+Steps = Mapping[Symbol, List[Tuple[Symbol, int]]]
 
-# source explains target because {source, extra}, without transitivity
-InitialExplanation = namedtuple("InitialExplanation", "source target extra")
 
+def ecinit_full(t: Theory, c: ClosureRelations) -> Tuple[Seeds, Steps]:
+    """The initial rules, each "i explains j because {i, e}", as the seeds
+    and steps of gather_transitive.
 
-def ecinit_base(t: Theory, c: ClosureRelations) -> FrozenSet[InitialExplanation]:
-    """The non-transitive rules, each (i, j, extra) for a cause(i, x).
+    For a cause(i, x), i explains x and every super-concept of x with
+    e = i.  A sub-concept of x that i already implies is explained with
+    e = i, and so is every super-concept of it.  Any other sub-concept e
+    is a witness: i explains e and every super-concept of e with that e
+    (the double-ontology relation).  impco is reflexive on causes, so a
+    witness is never i.
 
-    i explains x and every super-concept of x with extra i.  A sub-concept
-    e of x that i already implies is explained with extra i, and so is
-    every super-concept of e; any other sub-concept e yields the witness
-    (i, e, e), from which ecinit_full reads the double-ontology relation.
-    Every base atom's extra is its source or its target.
+    Per (i, j), the seeds are {i} when some rule has e = i, else {i, j}
+    when one has e = j, else one {i, e} per rule.  Per k, the steps are
+    (j, e's bit, or 0 when e is k) for every rule of k explaining j.
     """
-    out: Set[InitialExplanation] = set()
+    extras = defaultdict(int)   # (i, j) -> the OR of its rules' e bits
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         implied = c.impco_above[i.bit]  # i is in symbolE, so it has a row
         subs = c.ontt_below.get(x.bit, 0)
         # x, the sub-concepts of x that i implies, and their super-concepts
         explained = x.bit | subs & implied
-        explained |= _implied(explained, c.ontt_above)
-        out.update(InitialExplanation(i, j, i) for j in members(explained))
-        out.update(InitialExplanation(i, e, e)
-                   for e in members(subs & ~implied))
-    return frozenset(out)
+        for j in members(explained | _implied(explained, c.ontt_above)):
+            extras[(i, j)] |= i.bit
+        for e in _bits(subs & ~implied):
+            for j in members(e | c.ontt_above.get(e, 0)):
+                extras[(i, j)] |= e
+
+    seeds, steps = {}, defaultdict(list)
+    for (i, j), mask in extras.items():
+        # {i} beats {i, j}, which beats the {i, e} witnesses
+        first = mask & i.bit or mask & j.bit or mask
+        seeds[(i, j)] = tuple(i.bit | e for e in _bits(first))
+        steps[i].extend((j, 0 if e == i.bit else e) for e in _bits(mask))
+    return seeds, dict(steps)
 
 
-def ecinit_full(c: ClosureRelations, base: FrozenSet[InitialExplanation],
-                ) -> FrozenSet[InitialExplanation]:
-    """Base atoms plus the double-ontology relation.
-
-    A witness is a base atom (i, e, e) with e != i: e specialises an
-    effect of i and i does not imply e (impco is reflexive on causes, so
-    e == i never is one).  It explains every super-concept j of e by {i, e}.
-    """
-    return base | frozenset(
-        InitialExplanation(w.source, j, w.extra) for w in base
-        if w.extra == w.target != w.source
-        for j in members(c.ontt_above.get(w.extra.bit, 0)))
-
-
-def seed_ecsets(inits: FrozenSet[InitialExplanation]) -> FrozenSet[ExplanationAtom]:
-    """Per (source, target): {i} beats {i,j}, which beats the {i,e} witnesses."""
-    by_pair = defaultdict(set)
-    for init in inits:
-        by_pair[(init.source, init.target)].add(init.extra)
-    atoms: Set[ExplanationAtom] = set()
-    for (i, j), extras in by_pair.items():
-        if i in extras:
-            atoms.add(ExplanationAtom(i, j, (i,)))
-        elif j in extras:
-            atoms.add(ExplanationAtom(i, j, (i, j)))
-        else:
-            for e in extras:
-                atoms.add(ExplanationAtom(i, j, (i, e)))
-    return frozenset(atoms)
-
-
-def gather_transitive(seeds: FrozenSet[ExplanationAtom],
-                      inits: FrozenSet[InitialExplanation],
-                      cyclic: int = 0) -> FrozenSet[ExplanationAtom]:
+def gather_transitive(seeds: Seeds, steps: Steps, cyclic: int = 0
+                      ) -> FrozenSet[ExplanationAtom]:
     """Condition-gathering fixpoint, keeping only subset-minimal sets.
 
-    (i,k,S) composed with an initial (k,j,e2), e2 != k, yields (i,j,S+{e2});
-    an initial (k,j,k) extends the path without growing the set.  Candidates
+    (i,k,S) composed with a step (j, bit) of k yields (i,j,S+bit); a step
+    (j, 0) extends the path without growing the set.  Candidates
     (i, j, mask) are taken in order of set size, and composing never
     shrinks a set, so when a candidate comes up every smaller set it could
     be dropped for is already kept: it is dropped when a kept set is a
@@ -96,20 +78,17 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
     can shrink such a superset to a set the optimizer keeps.  With no cycle
     the result is the set of subset-minimal atoms of the full saturation.
     """
-    # k -> (j, the bit an initial (k, j, e2) adds, 0 when e2 is k)
-    inits_from = defaultdict(list)
     universe = 0    # every bit a set can hold
-    for init in inits:
-        inits_from[init.source].append(
-            (init.target, 0 if init.extra == init.source else init.extra.bit))
-        universe |= init.extra.bit
-
+    for rules in steps.values():
+        for _, added in rules:
+            universe |= added
     # (i, j, members in cyclic) -> the minimal condition sets kept
     kept: Dict[Tuple[Symbol, Symbol, int], List[int]] = defaultdict(list)
     levels = defaultdict(list)  # set size -> queued candidates
-    for i, j, mask in seeds:
-        levels[mask.bit_count()].append((i, j, mask))
-        universe |= mask
+    for (i, j), masks in seeds.items():
+        for mask in masks:
+            levels[mask.bit_count()].append((i, j, mask))
+            universe |= mask
     size = 1
     while levels:
         level = levels.pop(size, [])  # grows while it is walked
@@ -119,7 +98,7 @@ def gather_transitive(seeds: FrozenSet[ExplanationAtom],
             if not all(map(and_, sets, repeat(universe ^ new))):
                 continue
             sets.append(new)
-            for j, added in inits_from.get(k, ()):
+            for j, added in steps.get(k, ()):
                 if added & ~new:
                     levels[size + 1].append((i, j, new | added))
                 else:
@@ -162,9 +141,8 @@ def generate(t: Theory, closures: ClosureRelations = None
              ) -> FrozenSet[ExplanationAtom]:
     """Run the full generation pipeline on a validated theory."""
     c = closures if closures is not None else compute_closures(t)
-    full = ecinit_full(c, ecinit_base(t, c))
     # the symbols that imply, and are implied by, another symbol
     cyclic = sum(bit for bit, up in c.impco_above.items()
                  if up & c.impco_below[bit] & ~bit)
-    gathered = gather_transitive(seed_ecsets(full), full, cyclic)
+    gathered = gather_transitive(*ecinit_full(t, c), cyclic)
     return reduce_conditions(gathered, c)

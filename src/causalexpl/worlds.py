@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, namedtuple
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from .closure import _implied, compute_closures
-from .model import (CausalAtom, Clause, ExplanationAtom, Literal, Theory,
-                    members)
+from .model import CausalAtom, ExplanationAtom, Literal, Theory, members
 
 
 class WorldOverflowError(RuntimeError):
@@ -47,13 +47,21 @@ def _masks(literals: Iterable[Literal]) -> Tuple[int, int]:
             sum({lit.atom.bit for lit in literals if not lit.positive}))
 
 
-def _literal_options(clause: Clause, inclusive: bool) -> List[Tuple[int, int]]:
-    """The options of a disjunctive fact as _masks pairs: one per literal,
-    or per non-empty combination of literals when inclusive."""
-    literals = clause.sorted_literals()
-    sizes = range(1, len(literals) + 1) if inclusive else (1,)
-    return [_masks(option) for r in sizes
-            for option in itertools.combinations(literals, r)]
+# a choice axis: the _masks pair of each of its literals, and whether its
+# options are the non-empty combinations of them rather than each alone
+Axis = Tuple[List[Tuple[int, int]], bool]
+
+
+def _options(literals: List[Tuple[int, int]], inclusive: bool
+             ) -> Iterator[Tuple[int, int]]:
+    """An axis's options as _masks pairs, smaller combinations first, made
+    as the walk takes them: n inclusive literals have 2^n - 1 options."""
+    if not inclusive:
+        return iter(literals)
+    return ((sum(true for true, _ in option),
+             sum(false for _, false in option))
+            for r in range(1, len(literals) + 1)
+            for option in itertools.combinations(literals, r))
 
 
 def propagate_truth(true: int, false: int, above: Mapping[int, int],
@@ -68,11 +76,12 @@ def propagate_truth(true: int, false: int, above: Mapping[int, int],
     return _implied(true, above), _implied(false, below)
 
 
-def _consistent_choices(t: Theory, options: List[List[Tuple[int, int]]],
-                        fixed: int, every: int, closures: dict):
-    """Yield (option indices, true, false, causal mask) for every choice of
-    one (true, false) pair per axis of options that, with t's facts and
-    their consequences along impco, assigns no atom both values.
+def _consistent_choices(t: Theory, axes: List[Axis], fixed: int, every: int,
+                        closures: dict):
+    """Yield (picks, true, false, causal mask) for every choice of one
+    option per axis that, with t's facts and their consequences along
+    impco, assigns no atom both values; picks holds each axis's option as
+    (its index among the axis's _options, its true mask, its false mask).
 
     The walk is depth-first in itertools.product order; a branch is dropped
     as soon as an option clashes with a fact or an earlier choice.  The
@@ -82,55 +91,55 @@ def _consistent_choices(t: Theory, options: List[List[Tuple[int, int]]],
     which gets its entry in closures if it has none, makes those atoms true
     and propagates the whole assignment along that set's impco; each deeper
     depth propagates only the bits it added, if any, so a branch dies at its
-    first propagated clash.  Each depth keeps the masks it was reached
-    with, and restores them before its next option.
+    first propagated clash.  Each depth on the branch holds a frame: its
+    axis's options not yet taken, made as they are taken, the masks it was
+    reached with, which each of its options is added to, and its option.
     """
     true, false = _masks(t.facts)
     if true & false:
         return
-    n = len(options)
     # a branch holds t's causal atoms unless assigned false, and any other
     # causal atom when assigned true
     base = sum(ca.bit for ca in t.causal)
-    reached = [(0, 0)] * n   # the masks each depth was reached with
-    tried = [0] * n          # options tried per depth
-    depth, arrived = 0, True
-    while depth >= 0:
-        if arrived:     # every depth before this one holds an option
-            arrived = False
-            if depth >= fixed:
-                if depth == fixed:
-                    causal = base & ~false | true & every
-                    c = closures.get(causal)
-                    if c is None:
-                        c = closures[causal] = compute_closures(
-                            t.with_causal(members(causal)))
-                    true |= causal
-                    was = (0, 0)     # propagate the whole masks
-                else:
-                    was = reached[depth - 1]
-                if (true, false) != was:
-                    up, down = propagate_truth(true ^ was[0], false ^ was[1],
-                                               c.impco_above, c.impco_below)
-                    true, false = true | up, false | down
-                    if true & false:
-                        depth -= 1
-                        continue
-            if depth == n:
-                yield [tried[i] - 1 for i in range(n)], true, false, causal
-                depth -= 1
+    frames = []     # [options left, true, false, pick] per depth on the branch
+    arrived = True  # the branch has just reached depth len(frames)
+    while arrived or frames:
+        if not arrived:     # the next option of the deepest frame
+            frame = frames[-1]
+            pick = next(frame[0], None)
+            if pick is None:
+                frames.pop()
                 continue
-            reached[depth] = (true, false)
-        true, false = reached[depth]
-        if tried[depth] == len(options[depth]):
-            tried[depth] = 0
-            depth -= 1
+            index, (add_true, add_false) = pick
+            true, false = frame[1] | add_true, frame[2] | add_false
+            if not true & false:
+                frame[3] = index, add_true, add_false
+                arrived = True
             continue
-        option_true, option_false = options[depth][tried[depth]]
-        tried[depth] += 1
-        if not (true | option_true) & (false | option_false):
-            true, false = true | option_true, false | option_false
-            depth, arrived = depth + 1, True
+        arrived = False
+        depth = len(frames)
+        if depth >= fixed:
+            if depth == fixed:
+                causal = base & ~false | true & every
+                c = closures.get(causal)
+                if c is None:
+                    c = closures[causal] = compute_closures(
+                        t.with_causal(members(causal)))
+                true |= causal
+                was_true = was_false = 0    # propagate the whole masks
+            else:
+                _, was_true, was_false, _ = frames[-1]
+            if true != was_true or false != was_false:
+                up, down = propagate_truth(true ^ was_true, false ^ was_false,
+                                           c.impco_above, c.impco_below)
+                true, false = true | up, false | down
+                if true & false:
+                    continue
+        if depth == len(axes):
+            yield [frame[3] for frame in frames], true, false, causal
+        else:
+            frames.append([enumerate(_options(*axes[depth])), true, false,
+                           None])
 
 
 def enumerate_worlds(t: Theory, max_worlds: int = 1024,
@@ -156,23 +165,23 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     if closures is None:
         closures = {}
     disjunctive = sorted(t.disjunctive_facts, key=lambda c: c.render())
-    axes = [_literal_options(clause, inclusive_disjunction)
-            for clause in disjunctive]
-    axes += [[(atom.bit, 0), (0, atom.bit)]
+    axes = [([_masks([lit]) for lit in clause.sorted_literals()],
+             inclusive_disjunction) for clause in disjunctive]
+    axes += [([(atom.bit, 0), (0, atom.bit)], False)
              for atom in sorted(t.completions, key=str)]
     # the bits of the causal atoms in play, and the walk order: axes
     # holding a causal literal first, each part in canonical order
     atoms = t.causal.union(t.completions, (
         lit.atom for lit in t.facts.union(*(c.literals for c in disjunctive))))
     every = sum(a.bit for a in atoms if isinstance(a, CausalAtom))
-    causal_axis = [any((true | false) & every for true, false in axis)
-                   for axis in axes]
+    causal_axis = [any((true | false) & every for true, false in literals)
+                   for literals, _ in axes]
     walk = sorted(range(len(axes)), key=lambda i: not causal_axis[i])
     clauses = [_masks(clause.literals) for clause in t.clauses]
     facts = _masks(t.facts)
 
     survivors = []
-    for options, true, false, causal in _consistent_choices(
+    for picks, true, false, causal in _consistent_choices(
             t, [axes[i] for i in walk], sum(causal_axis), every, closures):
         if any(positive & false == positive and negative & true == negative
                for positive, negative in clauses):
@@ -181,10 +190,10 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
             raise WorldOverflowError(max_worlds)
         key = [0] * len(axes)
         chosen_true, chosen_false = facts
-        for i, option in zip(walk, options):
+        for i, (option, option_true, option_false) in zip(walk, picks):
             key[i] = option
-            chosen_true |= axes[i][option][0]
-            chosen_false |= axes[i][option][1]
+            chosen_true |= option_true
+            chosen_false |= option_false
         survivors.append((key, (chosen_true, chosen_false), true, false,
                           causal))
     survivors.sort(key=lambda s: s[0])

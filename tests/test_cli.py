@@ -374,6 +374,22 @@ def test_inclusive_disjunction_adds_world(capsys, tmp_path):
     assert len(json.loads(out)["worlds"]) == 3
 
 
+def test_wide_inclusive_clause_overflows_at_once(tmp_path):
+    """40 inclusive literals have 2^40 - 1 options: the walk takes them one
+    at a time, so the sixth surviving world ends the run."""
+    src = tmp_path / "wide.lp"
+    src.write_text(" v ".join("true(x%d)" % i for i in range(40)) + ".\n")
+    path = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from causalexpl.cli import main; sys.exit(main())",
+         str(src), "--inclusive-disjunction", "--max-worlds", "5"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert "max_worlds = 5" in proc.stderr
+
+
 def test_lift_flag_feeds_pipeline(capsys, tmp_path):
     src = tmp_path / "lift.lp"
     src.write_text("onekind(heard).\n"

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalexpl.closure import compute_closures
-from causalexpl.generate import (InitialExplanation, ecinit_base, ecinit_full,
-                                 gather_transitive, generate, reduce_conditions,
-                                 seed_ecsets)
+from causalexpl.generate import (ecinit_full, gather_transitive, generate,
+                                 reduce_conditions)
 from causalexpl.model import (CausalAtom, ExplanationAtom, OntAtom, Theory,
                              members, sym)
 from causalexpl.optimize import optimize
@@ -27,16 +26,40 @@ def test_single_cause_yields_singleton_atom():
     assert atom_keys(atoms) == {(sym("a"), sym("b"), _conds("a"))}
 
 
+def _rules(steps):
+    """The initial rules (k, j, e) the steps encode, a step's bit 0 being
+    e = k; fails if a step is listed twice or its bit is k's own or more
+    than one symbol's."""
+    rules = []
+    for k, rows in steps.items():
+        for j, bit in rows:
+            assert bit != k.bit and bit & (bit - 1) == 0
+            rules.append((k, j, members(bit)[0] if bit else k))
+    assert len(rules) == len(set(rules))
+    return set(rules)
+
+
+def _seed_sets(seeds):
+    """The seeds as (i, j) -> set of condition frozensets; fails if a pair
+    lists a mask twice."""
+    for masks in seeds.values():
+        assert len(masks) == len(set(masks))
+    return {pair: {frozenset(members(mask)) for mask in masks}
+            for pair, masks in seeds.items()}
+
+
 def test_initial_rules_on_diagram(diagram):
-    c = compute_closures(diagram)
-    base = ecinit_base(diagram, c)
+    seeds, steps = ecinit_full(diagram, compute_closures(diagram))
+    rules = _rules(steps)
+    alpha, beta2, gamma1 = sym("alpha"), sym("beta2"), sym("gamma1")
     # direct cause
-    assert InitialExplanation(sym("alpha"), sym("beta"), sym("alpha")) in base
+    assert (alpha, sym("beta"), alpha) in rules
     # effect generalisation: cause(alpha,beta), ont(beta,beta2)
-    assert InitialExplanation(sym("alpha"), sym("beta2"), sym("alpha")) in base
+    assert (alpha, beta2, alpha) in rules
     # specialisation without implication carries the specialised symbol
-    assert InitialExplanation(sym("beta2"), sym("gamma1"), sym("gamma1")) in base
-    assert InitialExplanation(sym("beta2"), sym("gamma1"), sym("beta2")) not in base
+    assert (beta2, gamma1, gamma1) in rules
+    assert (beta2, gamma1, beta2) not in rules
+    assert _seed_sets(seeds)[(beta2, gamma1)] == {frozenset([beta2, gamma1])}
 
 
 def _optimal_sets(t, source, target):
@@ -74,32 +97,50 @@ def _parent_initial_rules(t, c):
     def subs(s):
         return members(c.ontt_below.get(s.bit, 0))
 
-    base = set()
+    base = set()    # (source, target, extra) triples
     for ca in t.causal:
         i, x = ca.cause, ca.effect
-        base.add(InitialExplanation(i, x, i))
+        base.add((i, x, i))
         for j in subs(x):
-            base.add(InitialExplanation(i, j, i if (i, j) in impco else j))
+            base.add((i, j, i if (i, j) in impco else j))
         for j in supers(x):
-            base.add(InitialExplanation(i, j, i))
+            base.add((i, j, i))
         for e in subs(x):
             if (i, e) in impco:
                 for j in supers(e):
-                    base.add(InitialExplanation(i, j, i))
+                    base.add((i, j, i))
     full = set(base)
     for ca in t.causal:
         i, x = ca.cause, ca.effect
         for e in subs(x):
             if (i, e) not in impco:
-                full.update(InitialExplanation(i, j, e)
-                            for j in supers(e))
-    return base, full
+                full.update((i, j, e) for j in supers(e))
+    return full
+
+
+def _seeded_by_precedence(full):
+    """Per (source, target): {i} beats {i,j}, which beats the {i,e}
+    witnesses."""
+    by_pair = defaultdict(set)
+    for i, j, e in full:
+        by_pair[(i, j)].add(e)
+    seeds = {}
+    for (i, j), extras in by_pair.items():
+        if i in extras:
+            seeds[(i, j)] = {frozenset([i])}
+        elif j in extras:
+            seeds[(i, j)] = {frozenset([i, j])}
+        else:
+            seeds[(i, j)] = {frozenset([i, e]) for e in extras}
+    return seeds
 
 
 def _assert_initial_rules_match_parent(t):
     c = compute_closures(t)
-    base = ecinit_base(t, c)
-    assert (base, ecinit_full(c, base)) == _parent_initial_rules(t, c)
+    seeds, steps = ecinit_full(t, c)
+    full = _parent_initial_rules(t, c)
+    assert _rules(steps) == full
+    assert _seed_sets(seeds) == _seeded_by_precedence(full)
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,28 +169,35 @@ def test_initial_rules_match_the_triple_walk_on_diagram(diagram):
     _assert_initial_rules_match_parent(diagram)
 
 
+def _seeds_of(causal, ontology):
+    t = Theory(causal=frozenset(CausalAtom(sym(a), sym(b)) for a, b in causal),
+               ontology=frozenset(OntAtom(sym(a), sym(b)) for a, b in ontology))
+    return {(str(i), str(j)): {",".join(sorted(map(str, s))) for s in sets}
+            for (i, j), sets in _seed_sets(ecinit_full(
+                t, compute_closures(t))[0]).items()}
+
+
 def test_seed_precedence():
-    i, j, e = sym("i"), sym("j"), sym("e")
-    all_three = frozenset([InitialExplanation(i, j, i),
-                           InitialExplanation(i, j, j),
-                           InitialExplanation(i, j, e)])
-    assert atom_keys(seed_ecsets(all_three)) == {(i, j, (i,))}
-    no_first = frozenset([InitialExplanation(i, j, j),
-                          InitialExplanation(i, j, e)])
-    assert atom_keys(seed_ecsets(no_first)) == {(i, j, _conds("i", "j"))}
-    only_witnesses = frozenset([InitialExplanation(i, j, e),
-                                InitialExplanation(i, j, sym("f"))])
-    assert atom_keys(seed_ecsets(only_witnesses)) == {
-        (i, j, _conds("e", "i")), (i, j, _conds("f", "i"))}
-    assert seed_ecsets(frozenset()) == frozenset()
+    # {i} beats {i,e}: (i, x) is explained by i and through the witness e
+    assert _seeds_of([("i", "x")], [("e", "x")]) == {
+        ("i", "x"): {"i"}, ("i", "e"): {"e,i"}}
+    # {i,j} beats {i,e}: (i, j) has the witnesses j and e, below j
+    assert _seeds_of([("i", "x")], [("j", "x"), ("e", "j")]) == {
+        ("i", "x"): {"i"}, ("i", "j"): {"i,j"}, ("i", "e"): {"e,i"}}
+    # every witness is kept: j is above e and f, and no sub-concept of x
+    assert _seeds_of([("i", "x")], [("e", "x"), ("f", "x"), ("e", "j"),
+                                    ("f", "j")]) == {
+        ("i", "x"): {"i"}, ("i", "e"): {"e,i"}, ("i", "f"): {"f,i"},
+        ("i", "j"): {"e,i", "f,i"}}
+    assert ecinit_full(Theory(), compute_closures(Theory())) == ({}, {})
 
 
 def test_gathering_base_case_is_identity():
-    t = Theory(causal=frozenset([CausalAtom(sym("a"), sym("b"))]))
-    c = compute_closures(t)
-    base = ecinit_base(t, c)
-    seeds = seed_ecsets(base)
-    assert gather_transitive(seeds, base) == seeds
+    a, b = sym("a"), sym("b")
+    t = Theory(causal=frozenset([CausalAtom(a, b)]))
+    seeds, steps = ecinit_full(t, compute_closures(t))
+    assert seeds == {(a, b): (a.bit,)}
+    assert gather_transitive(seeds, steps) == {ExplanationAtom(a, b, [a])}
 
 
 def test_diagram_gathers_both_documented_paths(diagram):
@@ -211,20 +259,18 @@ def test_generation_deterministic(seed):
     assert generate(t) == generate(t)
 
 
-def _saturate(seeds, inits):
+def _saturate(seeds, steps):
     """Every (i, j, conditions) the gathering rule derives from the seeds,
     with no dominance: the unions saturated without the not-ecSet
     suppression."""
-    state = {(a.source, a.target, a.conditions) for a in seeds}
-    inits_from = defaultdict(list)
-    for init in inits:
-        inits_from[init.source].append((init.target, init.extra))
+    state = {(i, j, conds) for (i, j), sets in _seed_sets(seeds).items()
+             for conds in sets}
     changed = True
     while changed:
         changed = False
         for (i, k, conds) in list(state):
-            for j, e2 in inits_from.get(k, ()):
-                new = conds if e2 == k else conds | {e2}
+            for j, bit in steps.get(k, ()):
+                new = conds | frozenset(members(bit))
                 key = (i, j, new)
                 if key not in state:
                     state.add(key)
@@ -238,11 +284,10 @@ def test_gathering_guard_cannot_change_optimizer_answer(seed):
     """The already-derived guard only suppresses supersets of existing sets."""
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
-    inits = ecinit_full(c, ecinit_base(t, c))
-    seeds = seed_ecsets(inits)
-    guarded = reduce_conditions(gather_transitive(seeds, inits), c)
+    seeds, steps = ecinit_full(t, c)
+    guarded = reduce_conditions(gather_transitive(seeds, steps), c)
     unguarded = reduce_conditions(frozenset(
-        ExplanationAtom(i, j, cs) for i, j, cs in _saturate(seeds, inits)), c)
+        ExplanationAtom(i, j, cs) for i, j, cs in _saturate(seeds, steps)), c)
 
     assert atom_keys(optimize(guarded, c)) == \
         atom_keys(optimize(unguarded, c))
@@ -256,15 +301,14 @@ def test_gathering_keeps_the_minimal_sets_of_the_saturation(seed, acyclic):
     t = random_theory(random.Random(seed), acyclic=acyclic)
     c = compute_closures(t)
     impco = impco_pairs(t)
-    inits = ecinit_full(c, ecinit_base(t, c))
+    seeds, steps = ecinit_full(t, c)
     cyclic = frozenset(a for a, b in impco if a != b and (b, a) in impco)
-    seeds = seed_ecsets(inits)
     buckets = defaultdict(list)
-    for i, j, conds in _saturate(seeds, inits):
+    for i, j, conds in _saturate(seeds, steps):
         buckets[(i, j, conds & cyclic)].append(conds)
     minimal = {(i, j, x) for (i, j, _), sets in buckets.items()
                for x in sets if not any(y < x for y in sets)}
-    gathered = gather_transitive(seeds, inits, sum(s.bit for s in cyclic))
+    gathered = gather_transitive(seeds, steps, sum(s.bit for s in cyclic))
     assert {(a.source, a.target, a.conditions) for a in gathered} == minimal
 
 
@@ -273,9 +317,8 @@ def test_gathering_keeps_the_minimal_sets_of_the_saturation(seed, acyclic):
 def test_gathered_sets_form_an_antichain(seed):
     t = random_theory(random.Random(seed))
     c = compute_closures(t)
-    full = ecinit_full(c, ecinit_base(t, c))
     groups = {}
-    for atom in gather_transitive(seed_ecsets(full), full):
+    for atom in gather_transitive(*ecinit_full(t, c)):
         groups.setdefault((atom.source, atom.target), []).append(
             atom.conditions)
     for sets in groups.values():

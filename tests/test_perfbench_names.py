@@ -26,8 +26,11 @@ from conftest import FIG_TEXT
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # the guarded double-ontology seed, since generate seeds from ecinit_full
-# alone; and the per-group optimiser passes, since optimize is one pass
-DELETED = {"generate.ecinit_double_ontology", "optimize.prune_supersets",
+# alone; the base rules and the seeding rule, since ecinit_full gives the
+# seeds and steps itself; and the per-group optimiser passes, since
+# optimize is one pass
+DELETED = {"generate.ecinit_double_ontology", "generate.ecinit_base",
+           "generate.seed_ecsets", "optimize.prune_supersets",
            "optimize.entailment_subsumption"}
 
 
