@@ -37,7 +37,7 @@ import sys
 from collections import namedtuple
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .closure import compute_closures, impco_closure
+from .closure import compute_closures
 from .generate import generate
 from .lifting import apply_restrictions, lift
 from .model import (ExplanationAtom, Literal, Theory, atom_body,
@@ -88,12 +88,16 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
     """Run config's stages on t into result (a new RunResult by default),
     which holds what was found so far, warnings too, when a stage raises."""
     result = RunResult() if result is None else result
+    # the theory validated is the one the run uses, lifted links included;
+    # lifting's own warnings follow validation's
+    lifting_warnings: List[str] = []
+    if config.lifting:
+        t = apply_lifting(t, lifting_warnings)
     report = validate_theory(t, lifting=config.lifting)
     result.warnings.extend(report.warnings)
     if not report.ok:
         raise ValueError("; ".join(report.errors))
-    if config.lifting:
-        t = apply_lifting(t, result.warnings)
+    result.warnings.extend(lifting_warnings)
     symbols, _ = symbol_universe(t)
     # the offending atom named is the one that sorts first, so that one
     # input gives one error text
@@ -118,11 +122,11 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
             closures[base] = compute_closures(t)
         return closures[base]
 
-    if config.oracle:  # shares no closure index with the pipeline
-        from .oracle import derive_all, optimal_subset
+    if config.oracle:
+        from .oracle import derive_all, optimal_subset, row_pairs
         result.generated = derive_all(t, max_symbols=20)
-        result.optimal = optimal_subset(result.generated, impco_closure(
-            t.causal, t.ontology, symbol_universe(t)[1]))
+        result.optimal = optimal_subset(result.generated,
+                                        row_pairs(base_closures().impco_above))
         return result
 
     # a stage's atoms come from stage input when it holds them, otherwise

@@ -6,20 +6,18 @@ impco  -- implication induced by causal + ontological atoms, reflexive on
 
 One routine closes a relation over masks (model.Symbol.bit).  The closure
 index (compute_closures) keeps each relation as its rows both ways, a bit
-mapped to the mask of the symbols above or below it; ont_closure and
-impco_closure decode the same rows into pairs.
+mapped to the mask of the symbols above or below it, and nothing else; the
+oracle, which reasons in pairs, decodes the rows itself.
 """
 from __future__ import annotations
 
 import functools
 from collections import defaultdict, namedtuple
 from types import MappingProxyType
-from typing import FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Tuple
 
-from .model import CausalAtom, OntAtom, Symbol, Theory, members
+from .model import CausalAtom, OntAtom, Theory
 
-Pair = Tuple[Symbol, Symbol]
-PairSet = FrozenSet[Pair]
 Rows = Mapping[int, int]
 
 
@@ -77,23 +75,6 @@ def _closure(ontology: Iterable[OntAtom], causal: Iterable[CausalAtom] = (),
         for low in _bits(row):
             below[low] |= bit
     return MappingProxyType(above), MappingProxyType(dict(below))
-
-
-def _pairs(above: Rows) -> PairSet:
-    """The pairs (a, b) of a relation's above rows."""
-    return frozenset((a, b) for bit, row in above.items()
-                     for a in members(bit) for b in members(row))
-
-
-def ont_closure(ontology: Iterable[OntAtom]) -> PairSet:
-    """Least fixpoint of IS-A transitivity; contains every input pair."""
-    return _pairs(_closure(ontology)[0])
-
-
-def impco_closure(causal: Iterable[CausalAtom], ontology: Iterable[OntAtom],
-                  symbol_e: Iterable[Symbol]) -> PairSet:
-    """Transitive closure of cause+ont edges plus reflexivity on symbolE."""
-    return _pairs(_closure(ontology, causal)[0]) | {(s, s) for s in symbol_e}
 
 
 def compute_closures(t: Theory) -> ClosureRelations:

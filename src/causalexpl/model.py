@@ -4,11 +4,11 @@ All values are immutable; a validated theory can be shared freely between
 pipeline runs.  Symbols, causal and ontological atoms and literals are
 interned, one object per value, and every other value is a tuple, so
 hashing and comparing them runs in C.  Each symbol and causal atom gets one
-bit of a process-wide numbering when it is interned.  A condition set is the
-int mask of its members' bits from generation to verification, and a world
-is masks only: its chosen literals, its truth assignment and its causal set.
-A mask is decoded by ``members`` alone, at the public boundary and where
-text is written.
+bit of a process-wide numbering when it is interned, and one table holds
+the object of each number.  A condition set is the int mask of its members'
+bits from generation to verification, and a world is masks only: its chosen
+literals, its truth assignment and its causal set.  A mask is decoded by
+``members`` alone, at the public boundary and where text is written.
 """
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
                     Optional, Set, Tuple, Union)
 
 
-# the symbol or causal atom of each process-wide number, and its text
+# the symbol or causal atom of each process-wide number
 _numbered: List = []
-_numbered_texts: List[str] = []
 
 
 class _Interned:
@@ -83,7 +82,6 @@ class Symbol(_Interned):
                 else "[" + ",".join((name,) + args) + "]")
         s = cls._intern(name, args, text, 1 << len(_numbered))
         _numbered.append(s)
-        _numbered_texts.append(text)
         return s
 
     @property
@@ -115,7 +113,6 @@ class CausalAtom(_Interned):
         if ca is None:
             ca = cls._intern(cause, effect, 1 << len(_numbered))
             _numbered.append(ca)
-            _numbered_texts.append(str(ca))
         return ca
 
     def __str__(self) -> str:
@@ -195,13 +192,13 @@ class Clause(namedtuple("Clause", "literals")):
         return self.render()
 
 
-def members(mask: int, numbered: List = _numbered) -> List:
-    """The items of numbered, by default the symbols and causal atoms, at
-    mask's bits: the one decoder of a mask."""
+def members(mask: int) -> List:
+    """The symbols and causal atoms at mask's bits: the one decoder of a
+    mask."""
     out = []
     while mask:
         n = mask.bit_length() - 1
-        out.append(numbered[n])
+        out.append(_numbered[n])
         mask ^= 1 << n
     return out
 
@@ -246,8 +243,8 @@ class ExplanationAtom(namedtuple("ExplanationAtom", "source target mask")):
 
 def condition_texts(mask: int) -> Tuple[str, ...]:
     """The texts of a condition mask's members, in the order they are
-    written."""
-    return tuple(sorted(members(mask, _numbered_texts)))
+    written (a condition mask holds symbols only)."""
+    return tuple(sorted([s._text for s in members(mask)]))
 
 
 def atom_body(key: tuple) -> str:

@@ -4,18 +4,30 @@ Saturates the three formal rules directly: the initial case (with explicit
 IS-A reflexivity), transitivity with condition gathering, and the weakened
 element-removal simplification that never drops the explaining symbol.
 Intended for small instances and pipeline validation only.
+
+The oracle reasons in pairs of symbols.  Of the pipeline it reads only the
+closure index (closure.compute_closures), whose rows row_pairs decodes.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import FrozenSet, Set, Tuple
 
-from .closure import PairSet, impco_closure, ont_closure
-from .model import ExplanationAtom, Symbol, Theory, symbol_universe
+from .closure import Rows, compute_closures
+from .model import ExplanationAtom, Symbol, Theory, members, symbol_universe
+
+PairSet = FrozenSet[Tuple[Symbol, Symbol]]
 
 
 class OracleBoundError(RuntimeError):
     """Instance too large for exhaustive saturation."""
+
+
+def row_pairs(rows: Rows) -> PairSet:
+    """The pairs (a, b) of a closure index's above rows (ontt_above or
+    impco_above): b is in the row of a's bit."""
+    return frozenset((a, b) for bit, row in rows.items()
+                     for a in members(bit) for b in members(row))
 
 
 def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:
@@ -25,12 +37,13 @@ def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:
         raise OracleBoundError(
             "oracle refuses %d symbols (bound %d)" % (len(symbol_e), max_symbols))
 
-    ontt = set(ont_closure(t.ontology))
+    closures = compute_closures(t)
+    ontt = set(row_pairs(closures.ontt_above))
     ontt.update((s, s) for s in symbol_e)  # explicit reflexivity
     supers = defaultdict(set)  # every symbol of symbolE has a row
     for d, g in ontt:
         supers[d].add(g)
-    impco = impco_closure(t.causal, t.ontology, symbol_e)
+    impco = row_pairs(closures.impco_above)
 
     Key = Tuple[Symbol, Symbol, FrozenSet[Symbol]]
     derived: Set[Key] = set()

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from causalexpl.closure import impco_closure
+from causalexpl.closure import compute_closures
 from causalexpl.model import (CausalAtom, Literal, OntAtom, Symbol, Theory,
-                              members, symbol_universe)
+                              members)
+from causalexpl.oracle import row_pairs
 
 FIG_TEXT = """
 % the running-example causal diagram
@@ -107,9 +108,9 @@ def atom_keys(atoms):
 
 
 def impco_pairs(t: Theory):
-    """t's impco as a set of (implying, implied) symbol pairs, computed
-    apart from the closure index (compute_closures keeps only mask rows)."""
-    return impco_closure(t.causal, t.ontology, symbol_universe(t)[1])
+    """t's impco as a set of (implying, implied) symbol pairs, decoded from
+    the closure index's rows as the oracle decodes them."""
+    return row_pairs(compute_closures(t).impco_above)
 
 
 def chosen_literals(world):

@@ -4,11 +4,13 @@ Each workload's input is built by perfbench/inputs.py (loaded by path, so
 the benchmark's files are only read) at seeds 3, 7 and 11, and cli.main runs
 on it with the workload's arguments, once as text, once as JSON and once
 with --dump-theory (the canonical theory the benchmark's setup time runs),
-writing to --out.  The exit code, the standard error and the SHA-256 of the
-output must equal the table below, whose text and JSON rows were recorded
-before the closure index held masks only and whose --dump-theory rows before
-kind declarations took one shape; a change that keeps the program's
-behaviour keeps it.
+writing to --out, and once as text with --oracle, the brute-force reference
+derivation.  The exit code, the standard error and the SHA-256 of the output
+(None when no output is written) must equal the table below, whose text and
+JSON rows were recorded before the closure index held masks only, whose
+--dump-theory rows before kind declarations took one shape, and whose
+--oracle rows before closure.py kept only mask rows; a change that keeps the
+program's behaviour keeps it.
 
 To re-record the table after a deliberate output change, run this file as a
 script: it prints the table to paste here.
@@ -26,10 +28,10 @@ from causalexpl import cli
 
 INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 SEEDS = (3, 7, 11)
-FORMATS = ("text", "json", "dump")
+FORMATS = ("text", "json", "dump", "oracle")
 # the arguments of each format, after the workload's own
 FORMAT_ARGS = {"text": ["--format", "text"], "json": ["--format", "json"],
-               "dump": ["--dump-theory"]}
+               "dump": ["--dump-theory"], "oracle": ["--oracle"]}
 
 # (workload, seed, format) -> (exit code, stderr, SHA-256 of the output)
 DIGESTS = {
@@ -87,6 +89,24 @@ DIGESTS = {
         (0, '', 'c6e5abf13aa9202ffd925d8b6e3c576b8165488b07caee8caf356aba73319a92'),
     ('worlds_causal', 11, 'dump'):
         (0, '', '5a06de664ca9aa8ce6dbd6a177cfca8d81a464ee93347b4866bbd12b64bfcd7b'),
+    ('chain', 3, 'oracle'):
+        (1, 'error: oracle refuses 45 symbols (bound 20)\n', None),
+    ('chain', 7, 'oracle'):
+        (1, 'error: oracle refuses 45 symbols (bound 20)\n', None),
+    ('chain', 11, 'oracle'):
+        (1, 'error: oracle refuses 45 symbols (bound 20)\n', None),
+    ('worlds_sym', 3, 'oracle'):
+        (0, '', '6cfd11ed33340293d8fba2b1a3f764a641ec856cc6973e115b817919580c1a09'),
+    ('worlds_sym', 7, 'oracle'):
+        (0, '', 'e5bfa3e840b49155e13e13b0aea526bcbef33f1155ac6c6613f80336954dbb93'),
+    ('worlds_sym', 11, 'oracle'):
+        (0, '', 'aa085c9875acac63d3da710c011732e1201812bdda0a3341f706511a98d3f772'),
+    ('worlds_causal', 3, 'oracle'):
+        (0, '', '3e3f2b27cafdc43f32afac0b680cc39de37ca7aaeb82660e9526b72e46e41b0e'),
+    ('worlds_causal', 7, 'oracle'):
+        (0, '', 'da9f791919d0d165c976547969aebebb57606d1dbb62c8f827d16845ed048023'),
+    ('worlds_causal', 11, 'oracle'):
+        (0, '', 'a0690dede30d238fe02c539864b9f302913afd77aa7f7c4c409bf1b84fdec51f'),
 }
 
 
@@ -108,14 +128,17 @@ CASES = [(name, seed, fmt) for name in INPUTS_MODULE.WORKLOADS
 
 
 def _run(workload, fmt, tmp_path):
-    """(exit code, stderr, output digest) of one run on workload's input."""
+    """(exit code, stderr, output digest) of one run on workload's input;
+    the digest is None when the run writes no output."""
     theory, out = tmp_path / "input.lp", tmp_path / "out"
     theory.write_text(workload.text)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([str(theory)] + workload.cli_args
                         + FORMAT_ARGS[fmt] + ["--out", str(out)])
-    return code, err.getvalue(), hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = (hashlib.sha256(out.read_bytes()).hexdigest() if out.exists()
+              else None)
+    return code, err.getvalue(), digest
 
 
 @pytest.mark.parametrize("name,seed,fmt", CASES)

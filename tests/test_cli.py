@@ -411,6 +411,29 @@ def test_undeclared_lifted_predicate_exit_1(capsys, tmp_path):
                             "predicate 'mystery' with no kind declaration\n")
 
 
+CYCLE = ("warning: ontology contains a cycle (cyclic IS-A is almost "
+         "certainly a modeling error)\n")
+
+
+def test_is_a_cycle_made_by_lifting_is_warned_about(capsys, tmp_path):
+    # the cycle is in the object links alone, so only a lifted run uses it;
+    # validation's warnings come before lifting's, and a cycle in both the
+    # written and the lifted links is one warning
+    src = tmp_path / "cycle.lp"
+    src.write_text("onekind(p). restr(q). ont_object(a,b). "
+                   "ont_object(b,a). cause([p,a],x).\n")
+    restricted = ("warning: restricted predicate 'q' has no kindPar entries; "
+                  "all its atoms are dropped\n")
+    assert main([str(src), "--stage", "gen"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([str(src), "--stage", "gen", "--lift"]) == 0
+    assert capsys.readouterr().err == CYCLE + restricted
+    both = tmp_path / "both.lp"
+    both.write_text(src.read_text() + "ont(c,d). ont(d,c).\n")
+    assert main([str(both), "--stage", "gen", "--lift"]) == 0
+    assert capsys.readouterr().err == CYCLE + restricted
+
+
 def test_dump_theory_round_trip(capsys, diagram_file, tmp_path):
     code, out = run(capsys, diagram_file, "--dump-theory")
     assert code == 0

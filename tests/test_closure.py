@@ -4,10 +4,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalexpl import model
-from causalexpl.closure import compute_closures, impco_closure, ont_closure
+from causalexpl.closure import compute_closures
 from causalexpl.model import CausalAtom, OntAtom, Symbol, Theory, sym, symbol_universe
+from causalexpl.oracle import row_pairs
 from conftest import impco_pairs, random_theory
+
+
+def ontt_pairs(t: Theory):
+    """t's transitive IS-A as (sub-concept, super-concept) pairs."""
+    return row_pairs(compute_closures(t).ontt_above)
 
 
 def _bfs_pairs(edges):
@@ -29,7 +34,7 @@ def _bfs_pairs(edges):
 
 
 def test_ontt_diagram_spot_checks(diagram):
-    ontt = ont_closure(diagram.ontology)
+    ontt = ontt_pairs(diagram)
     beta1, beta2 = sym("beta1"), sym("beta2")
     assert (beta1, beta2) in ontt                 # via beta
     assert (sym("gamma2"), sym("gamma3")) in ontt
@@ -52,27 +57,32 @@ def test_impco_reflexive_on_symbol_e(diagram):
         assert (s, s) in impco
 
 
+def _bfs_relations(t: Theory):
+    """t's IS-A pairs and its impco pairs, reflexive on symbolE, found by
+    breadth-first search."""
+    ont_edges = [(oa.sub, oa.super) for oa in t.ontology]
+    edges = ont_edges + [(ca.cause, ca.effect) for ca in t.causal]
+    return (_bfs_pairs(ont_edges),
+            _bfs_pairs(edges) | {(s, s) for s in symbol_universe(t)[1]})
+
+
+def _assert_rows_hold(c, ontt, impco):
+    """The closure index c holds exactly these pairs, above and below."""
+    for pairs, (above, below) in ((ontt, c[:2]), (impco, c[2:])):
+        assert row_pairs(above) == pairs
+        assert {(a, b) for b, a in row_pairs(below)} == pairs
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_closures_match_bfs_reachability(seed):
     t = random_theory(random.Random(seed), acyclic=False)
-    _, symbol_e = symbol_universe(t)
-    edges = [(ca.cause, ca.effect) for ca in t.causal]
-    edges += [(oa.sub, oa.super) for oa in t.ontology]
-
-    ontt = _bfs_pairs((oa.sub, oa.super) for oa in t.ontology)
-    assert set(ont_closure(t.ontology)) == ontt
-    expected = _bfs_pairs(edges) | {(s, s) for s in symbol_e}
-    assert set(impco_closure(t.causal, t.ontology, symbol_e)) == expected
-
-    # the closure index holds the same relations as int rows keyed by bits
+    # the closure index holds the relations as int rows keyed by bits
     c = compute_closures(t)
-    for pairs, (above, below) in ((ontt, c[:2]), (expected, c[2:])):
-        assert _mask_pairs(above) == pairs
-        assert {(a, b) for b, a in _mask_pairs(below)} == pairs
-        for rows in (above, below):
-            assert all(type(bit) is int and bit.bit_count() == 1
-                       and type(row) is int for bit, row in rows.items())
+    _assert_rows_hold(c, *_bfs_relations(t))
+    for rows in c:
+        assert all(type(bit) is int and bit.bit_count() == 1
+                   and type(row) is int for bit, row in rows.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,15 +106,8 @@ def test_closure_monotone_under_added_atoms(seed):
     extra_o = OntAtom(Symbol("y_new"), Symbol("s1"))
     bigger = Theory(causal=t.causal | {extra_c},
                     ontology=t.ontology | {extra_o})
-    assert ont_closure(t.ontology) <= ont_closure(bigger.ontology)
+    assert ontt_pairs(t) <= ontt_pairs(bigger)
     assert impco_pairs(t) <= impco_pairs(bigger)
-
-
-def _mask_pairs(rows):
-    """Mask rows (bit -> mask) as (row symbol, member symbol) pairs."""
-    return {(model._numbered[bit.bit_length() - 1], member)
-            for bit, mask in rows.items()
-            for member in model.members(mask)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,11 +115,7 @@ def _mask_pairs(rows):
 def test_rows_hold_exactly_the_pairs(seed, acyclic):
     t = random_theory(random.Random(seed), acyclic=acyclic)
     c = compute_closures(t)
-    ontt, impco = ont_closure(t.ontology), impco_pairs(t)
-    assert _mask_pairs(c.ontt_above) == ontt
-    assert {(a, b) for b, a in _mask_pairs(c.ontt_below)} == ontt
-    assert _mask_pairs(c.impco_above) == impco
-    assert {(a, b) for b, a in _mask_pairs(c.impco_below)} == impco
+    _assert_rows_hold(c, *_bfs_relations(t))
     # a symbol with no pair has no row
     for rows in c:
         assert all(rows.values())

@@ -27,11 +27,12 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 
 # the guarded double-ontology seed, since generate seeds from ecinit_full
 # alone; the base rules and the seeding rule, since ecinit_full gives the
-# seeds and steps itself; and the per-group optimiser passes, since
-# optimize is one pass
+# seeds and steps itself; the per-group optimiser passes, since optimize is
+# one pass; and the pair closure, since the oracle decodes the closure
+# index's rows
 DELETED = {"generate.ecinit_double_ontology", "generate.ecinit_base",
            "generate.seed_ecsets", "optimize.prune_supersets",
-           "optimize.entailment_subsumption"}
+           "optimize.entailment_subsumption", "closure.impco_closure"}
 
 
 def _tracing_module():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import causalexpl
 from causalexpl import cli, model
-from causalexpl.closure import compute_closures, impco_closure
+from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
 from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Symbol, Theory, sym, symbol_universe)
@@ -22,7 +22,7 @@ from causalexpl.parser import StageFacts, parse_input
 from causalexpl.worlds import (InconsistentTheoryError, WorldOverflowError,
                                brave_cautious, enumerate_worlds,
                                propagate_truth, verify)
-from conftest import atom_keys, chain_theory, decoded
+from conftest import atom_keys, chain_theory, decoded, impco_pairs
 
 
 def _clause(*literals):
@@ -236,7 +236,6 @@ def _reference_worlds(t, inclusive):
     checked on its own: the specification of enumerate_worlds.  Truth is a
     dict, propagated over impco's pairs, and becomes the masks of the true
     and of the false atoms only at the end."""
-    _, symbol_e = symbol_universe(t)
     axes = []
     for clause in sorted(t.disjunctive_facts, key=lambda c: c.render()):
         literals = clause.sorted_literals()
@@ -262,7 +261,7 @@ def _reference_worlds(t, inclusive):
             causal_truth[ca] = True
         # impco is transitive: one step from each chosen atom closes truth
         succ, pred = defaultdict(set), defaultdict(set)
-        for a, b in impco_closure(causal, t.ontology, symbol_e):
+        for a, b in impco_pairs(t.with_causal(causal)):
             succ[a].add(b)
             pred[b].add(a)
         if any(truth.setdefault(other, value) != value
