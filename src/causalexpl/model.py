@@ -168,8 +168,8 @@ class Clause(namedtuple("Clause", "literals")):
 
     Duplicate literals are collapsed by construction; a tautology is
     dropped with a warning by the parser, and by
-    ``Theory.disjunctive_facts`` and ``symbol_universe`` in a theory built
-    in code.
+    ``Theory.disjunctive_facts``, ``symbol_universe`` and ``emit_theory`` in
+    a theory built in code.
     """
     __slots__ = ()
     _make = checked_make
@@ -327,10 +327,11 @@ class Theory(namedtuple("Theory", (
 
     @property
     def disjunctive_facts(self) -> frozenset:
-        """Clauses with two or more literals, usable as world generators; a
-        tautology is dropped, as validate_theory warns and the parser does."""
-        return frozenset(c for c in self.clauses
-                         if len(c.literals) >= 2 and not c.is_tautology())
+        """Every clause but a tautology, each a choice axis of the worlds: a
+        one-literal clause is an axis with one option, so it holds as the
+        unit fact it prints as.  A tautology is dropped, as validate_theory
+        warns and the parser does."""
+        return frozenset(c for c in self.clauses if not c.is_tautology())
 
     def with_causal(self, causal: Iterable[CausalAtom]) -> "Theory":
         """Copy with a different causal atom set (per-world reinterpretation)."""
@@ -393,10 +394,13 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
     for clause in t.clauses:
         if clause.is_tautology():
             report.warnings.append("tautology dropped: %s" % (clause,))
-    for lit in t.facts:
-        # a positive causal fact is held in t.causal
-        if lit.negated() in t.facts or (not lit.positive
-                                        and lit.atom in t.causal):
+    # a one-literal clause is the unit fact it prints as; a positive causal
+    # fact is held in t.causal
+    units = t.facts.union(*(c.literals for c in t.clauses
+                            if len(c.literals) == 1))
+    for lit in units:
+        if lit.negated() in units or (not lit.positive
+                                      and lit.atom in t.causal):
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
     from .closure import _closure  # closure imports this module

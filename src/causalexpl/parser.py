@@ -356,7 +356,7 @@ def emit_theory(t: Theory) -> str:
     for atom in sorted(t.completions, key=str):
         pos = Literal(atom, True)
         lines.append("%s v %s." % (pos, pos.negated()))
-    for values in (t.clauses, t.object_ontology):
+    for values in (t.disjunctive_facts, t.object_ontology):  # no tautology
         lines += ["%s." % (x,) for x in sorted(values, key=str)]
     lines += _emit_units(t.kind_decls, KindDeclarations._fields)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,7 +1,9 @@
 """Stage 3: world enumeration, truth propagation and per-world verification.
 
-A world is one consistent resolution of the disjunctive facts and completion
-choices, analogous to one answer set.  Worlds are regrouped under indices so
+A world is one consistent resolution of the choices, analogous to one answer
+set: each clause is a choice among its literals (a one-literal clause has
+one option) and each completion a choice between true and false; no filter
+runs after the walk that makes them.  Worlds are regrouped under indices so
 brave (some world) and cautious (all worlds) verdicts can be computed.
 
 Truth is two masks over the process-wide bits of symbols and causal atoms
@@ -47,11 +49,6 @@ def _masks(literals: Iterable[Literal]) -> Tuple[int, int]:
             sum({lit.atom.bit for lit in literals if not lit.positive}))
 
 
-# a choice axis: the _masks pair of each of its literals, and whether its
-# options are the non-empty combinations of them rather than each alone
-Axis = Tuple[List[Tuple[int, int]], bool]
-
-
 def _options(literals: List[Tuple[int, int]], inclusive: bool
              ) -> Iterator[Tuple[int, int]]:
     """An axis's options as _masks pairs, smaller combinations first, made
@@ -76,33 +73,60 @@ def propagate_truth(true: int, false: int, above: Mapping[int, int],
     return _implied(true, above), _implied(false, below)
 
 
-def _consistent_choices(t: Theory, axes: List[Axis], fixed: int, every: int,
-                        closures: dict):
-    """Yield (picks, true, false, causal mask) for every choice of one
-    option per axis that, with t's facts and their consequences along
-    impco, assigns no atom both values; picks holds each axis's option as
-    (its index among the axis's _options, its true mask, its false mask).
+def enumerate_worlds(t: Theory, max_worlds: int = 1024,
+                     inclusive_disjunction: bool = False,
+                     closures: Optional[dict] = None) -> Tuple[World, ...]:
+    """All consistent worlds, indexed from 1 in canonical choice order.
 
-    The walk is depth-first in itertools.product order; a branch is dropped
-    as soon as an option clashes with a fact or an earlier choice.  The
-    first fixed axes are those that hold a causal literal, so from depth
-    fixed on no axis can change the causal set, whose bits are among every.
-    A branch that reaches it without a clash computes its causal mask,
-    which gets its entry in closures if it has none, makes those atoms true
-    and propagates the whole assignment along that set's impco; each deeper
-    depth propagates only the bits it added, if any, so a branch dies at its
-    first propagated clash.  Each depth on the branch holds a frame: its
-    axis's options not yet taken, made as they are taken, the masks it was
-    reached with, which each of its options is added to, and its option.
+    Every clause but a tautology is a choice axis (Theory.disjunctive_facts)
+    whose options are its literals, or their non-empty combinations under
+    inclusive_disjunction, so a one-literal clause is one option and holds
+    as the unit fact it prints as; a completion is the axis of its two
+    literals.  The canonical axes are the clauses, then the completions,
+    each sorted by text.  A chosen literal is set true and a branch is
+    dropped at its first clash, so no clause is false in a world and none
+    is checked after the walk.
+
+    The walk is depth-first in itertools.product order and takes the axes
+    that hold a causal literal first, so from depth fixed on no axis can
+    change the causal set, whose bits are among every.  A branch that
+    reaches it without a clash computes its causal mask, makes those atoms
+    true and propagates the whole assignment along that set's impco; each
+    deeper depth propagates only the bits it added, if any, so a branch
+    dies at its first propagated clash.  The surviving worlds are sorted by
+    their option on each canonical axis and numbered in that order.
+
+    closures maps a causal mask to the ClosureRelations of t with that
+    causal set; a missing entry is built once, for the caller to reuse,
+    when a branch first reaches depth fixed.  Raises WorldOverflowError as
+    soon as more than max_worlds worlds survive.
     """
-    true, false = _masks(t.facts)
-    if true & false:
-        return
+    if closures is None:
+        closures = {}
+    clauses = sorted(t.disjunctive_facts, key=lambda c: c.render())
+    axes = [[_masks([lit]) for lit in clause.sorted_literals()]
+            for clause in clauses]
+    axes += [[(atom.bit, 0), (0, atom.bit)]
+             for atom in sorted(t.completions, key=str)]
+    # the bits of the causal atoms in play, and the walk order: axes
+    # holding a causal literal first, each part in canonical order
+    atoms = t.causal.union(t.completions, (
+        lit.atom for lit in t.facts.union(*(c.literals for c in clauses))))
+    every = sum(a.bit for a in atoms if isinstance(a, CausalAtom))
+    causal_axis = [any((true | false) & every for true, false in literals)
+                   for literals in axes]
+    walk = sorted(range(len(axes)), key=lambda i: not causal_axis[i])
+    fixed = sum(causal_axis)
     # a branch holds t's causal atoms unless assigned false, and any other
     # causal atom when assigned true
     base = sum(ca.bit for ca in t.causal)
-    frames = []     # [options left, true, false, pick] per depth on the branch
-    arrived = True  # the branch has just reached depth len(frames)
+
+    survivors = []
+    true, false = facts = _masks(t.facts)
+    # per depth on the branch: its axis's options not yet taken, the masks
+    # it was reached with, which each option is added to, and its pick
+    frames = []
+    arrived = not true & false  # the branch has just reached depth len(frames)
     while arrived or frames:
         if not arrived:     # the next option of the deepest frame
             frame = frames[-1]
@@ -135,62 +159,17 @@ def _consistent_choices(t: Theory, axes: List[Axis], fixed: int, every: int,
                 true, false = true | up, false | down
                 if true & false:
                     continue
-        if depth == len(axes):
-            yield [frame[3] for frame in frames], true, false, causal
-        else:
-            frames.append([enumerate(_options(*axes[depth])), true, false,
-                           None])
-
-
-def enumerate_worlds(t: Theory, max_worlds: int = 1024,
-                     inclusive_disjunction: bool = False,
-                     closures: Optional[dict] = None) -> Tuple[World, ...]:
-    """All consistent worlds, indexed from 1 in canonical choice order.
-
-    The canonical axes are the disjunctive facts, then the completions, each
-    sorted by text.  The walk (_consistent_choices) takes the axes that hold
-    a causal literal first, so that it fixes the causal set early and
-    propagates truth from there on; the surviving worlds are then sorted by
-    their option on each canonical axis and numbered in that order, which
-    is itertools.product order over the canonical axes.  A world is dropped
-    when a clause has every positive atom false and every negative atom
-    true.
-
-    closures maps a causal mask to the ClosureRelations of t with that
-    causal set; a missing entry is built once, for the caller to reuse,
-    when a branch first reaches without a clash the depth after which no
-    axis can change its causal set.  Raises WorldOverflowError as soon as
-    more than max_worlds worlds survive.
-    """
-    if closures is None:
-        closures = {}
-    disjunctive = sorted(t.disjunctive_facts, key=lambda c: c.render())
-    axes = [([_masks([lit]) for lit in clause.sorted_literals()],
-             inclusive_disjunction) for clause in disjunctive]
-    axes += [([(atom.bit, 0), (0, atom.bit)], False)
-             for atom in sorted(t.completions, key=str)]
-    # the bits of the causal atoms in play, and the walk order: axes
-    # holding a causal literal first, each part in canonical order
-    atoms = t.causal.union(t.completions, (
-        lit.atom for lit in t.facts.union(*(c.literals for c in disjunctive))))
-    every = sum(a.bit for a in atoms if isinstance(a, CausalAtom))
-    causal_axis = [any((true | false) & every for true, false in literals)
-                   for literals, _ in axes]
-    walk = sorted(range(len(axes)), key=lambda i: not causal_axis[i])
-    clauses = [_masks(clause.literals) for clause in t.clauses]
-    facts = _masks(t.facts)
-
-    survivors = []
-    for picks, true, false, causal in _consistent_choices(
-            t, [axes[i] for i in walk], sum(causal_axis), every, closures):
-        if any(positive & false == positive and negative & true == negative
-               for positive, negative in clauses):
+        if depth < len(axes):
+            frames.append([enumerate(_options(axes[walk[depth]],
+                                              inclusive_disjunction)),
+                           true, false, None])
             continue
         if len(survivors) == max_worlds:
             raise WorldOverflowError(max_worlds)
         key = [0] * len(axes)
         chosen_true, chosen_false = facts
-        for i, (option, option_true, option_false) in zip(walk, picks):
+        for i, (_, _, _, (option, option_true, option_false)) in zip(
+                walk, frames):
             key[i] = option
             chosen_true |= option_true
             chosen_false |= option_false

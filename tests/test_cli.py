@@ -221,6 +221,23 @@ def test_warnings_are_printed_before_a_failure(capsys, tmp_path, texts,
     assert captured.err == err
 
 
+@pytest.mark.parametrize("text, code, err", [
+    ("cause(a b).", 1, "error: line 1: expected ')', found 'b'\n"),
+    ("cause(a,b). ecSet(a,b,{b}).", 1,
+     "error: line 1: explaining symbol must belong to its condition set\n"),
+    ("cause(a,b). true(a) v ont(a,b).", 1, "error: line 1: only true/cause "
+     "literals may appear in a disjunction\n"),
+    ("cause(p,x). cause([p,a],y).", 0, "warning: name 'p' used both as a "
+     "propositional constant and a predicate\n"),
+], ids=["missing-comma", "source-not-a-condition", "ont-in-disjunction",
+        "constant-and-predicate"])
+def test_input_faults_exit_code_and_stderr(capsys, tmp_path, text, code, err):
+    path = tmp_path / "input.lp"
+    path.write_text(text + "\n")
+    assert main([str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_world_overflow_exit_2(capsys, tmp_path):
     lines = "".join("true(c%d) v -true(c%d).\n" % (i, i) for i in range(12))
     src = tmp_path / "many.lp"

@@ -16,7 +16,7 @@ from causalexpl.model import (CausalAtom, Clause, ExplanationAtom, Literal,
                               OntAtom, Symbol, Theory, sym, symbol_universe,
                               validate_theory)
 from causalexpl.lifting import KindDeclarations, ObjectOntAtom, lift
-from causalexpl.parser import parse_input
+from causalexpl.parser import ParseError, emit_theory, parse_input
 
 a, b, g, d = sym("alpha"), sym("beta"), sym("gamma"), sym("delta")
 
@@ -148,6 +148,26 @@ def test_validate_contradictory_causal_facts_error():
     assert validate_theory(t).errors == [
         "contradictory unit facts on cause(alpha,beta)"]
     assert validate_theory(t._replace(causal=frozenset())).ok
+
+
+X, AB = sym("a"), CausalAtom(sym("a"), sym("b"))
+
+
+@pytest.mark.parametrize("t, atom", [
+    (Theory(facts=frozenset([Literal(X, True)]),
+            clauses=frozenset([Clause(frozenset([Literal(X, False)]))])),
+     "a"),
+    (Theory(causal=frozenset([AB]),
+            clauses=frozenset([Clause(frozenset([Literal(AB, False)]))])),
+     "cause(a,b)"),
+], ids=["fact", "causal-atom"])
+def test_validate_one_literal_clause_is_a_unit_fact(t, atom):
+    # the clause prints as a unit fact, which the parser rejects alike
+    message = "contradictory unit facts on %s" % atom
+    assert validate_theory(t).errors == [message]
+    with pytest.raises(ParseError) as err:
+        parse_input(emit_theory(t))
+    assert str(err.value).endswith(": " + message)
 
 
 def test_validate_ontology_cycle_warns():

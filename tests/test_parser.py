@@ -2,9 +2,11 @@
 import pytest
 
 from causalexpl.cli import RunConfig, RunResult, render_text
-from causalexpl.model import CausalAtom, Literal, OntAtom, Symbol, sym
+from causalexpl.model import (CausalAtom, Clause, Literal, OntAtom, Symbol,
+                              Theory, sym)
 from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_theory,
                                parse_input)
+from causalexpl.worlds import enumerate_worlds
 from conftest import atom_keys
 
 
@@ -153,6 +155,17 @@ def test_round_trip_covers_all_statement_kinds():
     """
     first = parse_input(src).theory
     assert parse_input(emit_theory(first)).theory == first
+
+
+def test_emit_theory_leaves_out_a_tautological_clause():
+    # the run drops the clause; printed, it would parse as a completion
+    x = sym("a")
+    t = Theory(causal=frozenset([CausalAtom(x, sym("b"))]),
+               clauses=frozenset([Clause(frozenset([Literal(x, True),
+                                                    Literal(x, False)]))]))
+    assert emit_theory(t) == "cause(a,b).\n"
+    parsed = parse_input(emit_theory(t)).theory
+    assert len(enumerate_worlds(t)) == len(enumerate_worlds(parsed)) == 1
 
 
 @pytest.mark.parametrize("functor", sorted(UNIT_STATEMENTS))
