@@ -75,14 +75,6 @@ class RunResult:
         self.warnings: List[str] = []
 
 
-def apply_lifting(t: Theory, warnings: List[str]) -> Theory:
-    """Expand object-level IS-A links into atom-level ontology entries."""
-    restricted = apply_restrictions(lift(t.object_ontology, t.kind_decls),
-                                    t.kind_decls)
-    warnings.extend(restricted.warnings)
-    return t._replace(ontology=frozenset(t.ontology) | restricted.atoms)
-
-
 def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
                  result: Optional[RunResult] = None) -> RunResult:
     """Run config's stages on t into result (a new RunResult by default),
@@ -90,14 +82,16 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
     result = RunResult() if result is None else result
     # the theory validated is the one the run uses, lifted links included;
     # lifting's own warnings follow validation's
-    lifting_warnings: List[str] = []
-    if config.lifting:
-        t = apply_lifting(t, lifting_warnings)
+    if config.lifting:  # object-level IS-A links as atom-level ontology
+        lifted = apply_restrictions(lift(t.object_ontology, t.kind_decls),
+                                    t.kind_decls)
+        t = t._replace(ontology=frozenset(t.ontology) | lifted.atoms)
     report = validate_theory(t, lifting=config.lifting)
     result.warnings.extend(report.warnings)
     if not report.ok:
         raise ValueError("; ".join(report.errors))
-    result.warnings.extend(lifting_warnings)
+    if config.lifting:
+        result.warnings.extend(lifted.warnings)
     symbols, _ = symbol_universe(t)
     # the offending atom named is the one that sorts first, so that one
     # input gives one error text
@@ -147,33 +141,30 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
                               inclusive_disjunction=config.inclusive_disjunction,
                               closures=closures)
     result.worlds = worlds
-    # generate + optimize run once per distinct causal set, not per world,
-    # and verify once per distinct (optimal atom set, mask of the false
-    # symbols in its conditions) pair, the only false symbols verify reads;
-    # worlds with equal verified sets hold one.  The closures of a set no
-    # world holds are dropped now, and those of the others once their
-    # optimal atoms exist
-    def with_mask(atoms):  # the atoms and the OR of their masks
-        return atoms, functools.reduce(int.__or__, (a.mask for a in atoms), 0)
-    optimal_by_causal = {base: with_mask(result.optimal)}
-    verified_by_pair, verified_sets = {}, {}
-    for causal in (closures.keys() - {w.causal for w in worlds}) | {base}:
-        closures.pop(causal, None)
+    # generate + optimize run once per causal set some world holds, and
+    # verify once per distinct (optimal atom set, mask of the false symbols
+    # in its conditions) pair, the only false symbols verify reads; worlds
+    # with equal verified sets hold one.  The closures of a set no world
+    # holds are dropped now, and those of the others as their group is run
+    groups = {}
     for world in worlds:
-        known = optimal_by_causal.get(world.causal)
-        if known is None:
-            c = closures.pop(world.causal)
-            known = optimal_by_causal[world.causal] = with_mask(
-                optimize(generate(t.with_causal(members(world.causal)), c),
-                         c))
-        atoms, mentioned = known
-        pair = (atoms, mentioned & world.false)
-        verified = verified_by_pair.get(pair)
-        if verified is None:
-            verified = verify(atoms, world)
-            verified = verified_by_pair[pair] = verified_sets.setdefault(
-                verified, verified)
-        result.verified[world.index] = verified
+        groups.setdefault(world.causal, []).append(world)
+    for causal in closures.keys() - groups.keys():
+        del closures[causal]
+    verified_by_pair, verified_sets = {}, {}
+    for causal, group in groups.items():
+        c = closures.pop(causal)
+        atoms = (result.optimal if causal == base else optimize(
+            generate(t.with_causal(members(causal)), c), c))
+        mentioned = functools.reduce(int.__or__, (a.mask for a in atoms), 0)
+        for world in group:
+            pair = (atoms, mentioned & world.false)
+            verified = verified_by_pair.get(pair)
+            if verified is None:
+                verified = verify(atoms, world)
+                verified = verified_by_pair[pair] = verified_sets.setdefault(
+                    verified, verified)
+            result.verified[world.index] = verified
     result.verdicts = brave_cautious(result.verified, len(worlds))
     return result
 
@@ -372,7 +363,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--format", dest="fmt", choices=("text", "json"),
                    default="text")
-    p.add_argument("--lift", action="store_true",
+    p.add_argument("--lift", dest="lifting", action="store_true",
                    help="expand object-level IS-A links before the pipeline")
     p.add_argument("--max-worlds", type=int, default=1024,
                    help="fail with exit code 2 once more than this many "
@@ -445,9 +436,7 @@ def _main(argv: Optional[List[str]]) -> int:
     if args.max_worlds < 1:
         print("error: --max-worlds must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    config = RunConfig(stage=args.stage, max_worlds=args.max_worlds,
-                       inclusive_disjunction=args.inclusive_disjunction,
-                       lifting=args.lift, oracle=args.oracle)
+    config = RunConfig(*(getattr(args, f) for f in RunConfig._fields))
     result = RunResult()
     try:
         try:

@@ -356,10 +356,9 @@ def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:
     symbols.update(t.declared)
     for lit in t.facts:
         symbols.update(_literal_symbols(lit))
-    for clause in t.clauses:
-        if not clause.is_tautology():  # dropped, as by the parser
-            for lit in clause.literals:
-                symbols.update(_literal_symbols(lit))
+    for clause in t.disjunctive_facts:
+        for lit in clause.literals:
+            symbols.update(_literal_symbols(lit))
     for atom in t.completions:
         if isinstance(atom, CausalAtom):
             symbols.update((atom.cause, atom.effect))

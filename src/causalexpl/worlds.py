@@ -122,26 +122,23 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     base = sum(ca.bit for ca in t.causal)
 
     survivors = []
-    true, false = facts = _masks(t.facts)
-    # per depth on the branch: its axis's options not yet taken, the masks
-    # it was reached with, which each option is added to, and its pick
-    frames = []
-    arrived = not true & false  # the branch has just reached depth len(frames)
-    while arrived or frames:
-        if not arrived:     # the next option of the deepest frame
-            frame = frames[-1]
-            pick = next(frame[0], None)
-            if pick is None:
-                frames.pop()
-                continue
-            index, (add_true, add_false) = pick
-            true, false = frame[1] | add_true, frame[2] | add_false
-            if not true & false:
-                frame[3] = index, add_true, add_false
-                arrived = True
+    facts = _masks(t.facts)
+    # per frame on the branch: its options not yet taken, the masks it was
+    # reached with, which each option is added to, and its pick.  The root
+    # frame's one option is the facts; a pick from frames[d] reaches depth
+    # d, where the frame of axis walk[d] is pushed
+    frames = [[iter([(0, facts)]), 0, 0, None]]
+    while frames:
+        frame = frames[-1]
+        pick = next(frame[0], None)
+        if pick is None:
+            frames.pop()
             continue
-        arrived = False
-        depth = len(frames)
+        _, (add_true, add_false) = frame[3] = pick
+        true, false = frame[1] | add_true, frame[2] | add_false
+        if true & false:
+            continue
+        depth = len(frames) - 1
         if depth >= fixed:
             if depth == fixed:
                 causal = base & ~false | true & every
@@ -152,7 +149,7 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
                 true |= causal
                 was_true = was_false = 0    # propagate the whole masks
             else:
-                _, was_true, was_false, _ = frames[-1]
+                _, was_true, was_false, _ = frame
             if true != was_true or false != was_false:
                 up, down = propagate_truth(true ^ was_true, false ^ was_false,
                                            c.impco_above, c.impco_below)
@@ -168,8 +165,8 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
             raise WorldOverflowError(max_worlds)
         key = [0] * len(axes)
         chosen_true, chosen_false = facts
-        for i, (_, _, _, (option, option_true, option_false)) in zip(
-                walk, frames):
+        for i, (_, _, _, (option, (option_true, option_false))) in zip(
+                walk, frames[1:]):
             key[i] = option
             chosen_true |= option_true
             chosen_false |= option_false

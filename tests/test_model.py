@@ -302,3 +302,22 @@ def test_unpickled_values_are_the_objects_of_a_fresh_process():
                      PYTHONPATH=os.pathsep.join(sys.path)),
             capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.xfail(strict=True, reason="symbols and causal atoms take their "
+                   "bits from one process-wide numbering, so a run's masks "
+                   "are as wide as every name the process interned before")
+def test_a_run_numbers_only_its_own_symbols():
+    # chain_theory(2) has 30 symbols and 17 causal atoms; in a process that
+    # interned 20,000 other symbols first, no mask of its run is wider
+    code = ("from causalexpl.generate import generate; "
+            "from causalexpl.model import sym; "
+            "from conftest import chain_theory; "
+            "[sym('pad%d' % n) for n in range(20000)]; "
+            "print(max(a.mask.bit_length() "
+            "for a in generate(chain_theory(2))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 30 + 17
