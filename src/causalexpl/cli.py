@@ -44,10 +44,9 @@ from .model import (ExplanationAtom, Literal, Theory, atom_body,
                     atom_sort_key, members, ranked_atoms, symbol_universe,
                     validate_theory)
 from .optimize import optimize
-from .oracle import OracleBoundError
 from .parser import STAGE_SECTIONS, StageFacts, emit_theory, parse_input
-from .worlds import (InconsistentTheoryError, World, WorldOverflowError,
-                     brave_cautious, enumerate_worlds, verify)
+from .worlds import (World, WorldOverflowError, brave_cautious,
+                     enumerate_worlds, verify)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -456,9 +455,9 @@ def _main(argv: Optional[List[str]]) -> int:
     except WorldOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_OVERFLOW
-    # unreadable input, unwritable --out, and ParseError (a ValueError)
-    except (OSError, ValueError, InconsistentTheoryError,
-            OracleBoundError) as exc:
+    # unreadable input, unwritable --out, and every input error: ParseError,
+    # InconsistentTheoryError and OracleBoundError are ValueErrors
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -19,7 +19,7 @@ from .model import ExplanationAtom, Symbol, Theory, members, symbol_universe
 PairSet = FrozenSet[Tuple[Symbol, Symbol]]
 
 
-class OracleBoundError(RuntimeError):
+class OracleBoundError(ValueError):
     """Instance too large for exhaustive saturation."""
 
 

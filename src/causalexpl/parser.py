@@ -75,19 +75,10 @@ _Token = namedtuple("_Token", "kind text line")
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("%", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                break
-            pos = m.end()
-            for kind in ("name", "punct", "num"):
-                if m.group(kind) is not None:
-                    tokens.append(_Token(kind, m.group(kind), lineno))
-                    break
-            else:
-                raise ParseError("unexpected character %r" % m.group("bad"), lineno)
+        for m in _TOKEN_RE.finditer(line.split("%", 1)[0]):
+            if m.lastgroup == "bad":
+                raise ParseError("unexpected character %r" % m["bad"], lineno)
+            tokens.append(_Token(m.lastgroup, m[m.lastgroup], lineno))
     return tokens
 
 
@@ -110,14 +101,16 @@ class _Parser:
         self.stage = StageFacts(set(), set())
 
     # -- token plumbing ----------------------------------------------------
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> Optional[str]:
+        """The next token's text; None at the end of input."""
+        return (self.tokens[self.pos].text if self.pos < len(self.tokens)
+                else None)
 
     def _next(self, expect: str = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             last = self.tokens[-1].line if self.tokens else 1
             raise ParseError("unexpected end of input", last)
+        tok = self.tokens[self.pos]
         if expect is not None and tok.text != expect:
             raise ParseError("expected %r, found %r" % (expect, tok.text), tok.line)
         self.pos += 1
@@ -129,25 +122,24 @@ class _Parser:
             raise ParseError("expected a name, found %r" % tok.text, tok.line)
         return tok
 
-    def _list(self, item) -> List:
-        """item()'s values, one more while the next token is a comma."""
+    def _list(self, item, close: str) -> List:
+        """item()'s values, one more after each comma, then the token close."""
         out = [item()]
-        while self._peek() is not None and self._peek().text == ",":
+        while self._peek() == ",":
             self._next()
             out.append(item())
+        self._next(close)
         return out
 
     # -- grammar -----------------------------------------------------------
     def parse(self) -> ParseResult:
         while self._peek() is not None:
-            tok = self._peek()
-            if tok.text in "{}":
+            if self._peek() in "{}":
                 self._next()  # clause-group braces are decorative
-                continue
-            self._statement()
+            else:
+                self._statement()
         theory = self._frozen(Theory, kind_decls=self._frozen(KindDeclarations))
-        return ParseResult(theory=theory, stage=self.stage,
-                           warnings=self.warnings)
+        return ParseResult(theory, self.stage, self.warnings)
 
     def _frozen(self, cls, **given):
         """The namedtuple cls with its other fields the recorded sets."""
@@ -155,52 +147,72 @@ class _Parser:
                                for name in cls._fields if name not in given})
 
     def _statement(self):
-        start = self._peek().line
-        literals = [self._literal_or_fact()]
-        while self._peek() is not None and self._peek().text == "v":
+        """Read one statement and record it."""
+        line = self.tokens[self.pos].line
+        items = [self._item()]
+        while self._peek() == "v":
             self._next()
-            literals.append(self._literal_or_fact())
+            items.append(self._item())
         self._next(".")
-        if len(literals) == 1:
-            self._record_unit(literals[0], start)
+        if len(items) == 1 and items[0][1] is not None:
+            value, where, _ = items[0]
+            where.add(value)
+            return
+        for _, where, head in items:
+            if where is not None:
+                raise ParseError("only true/cause literals may appear in a "
+                                 "disjunction", head.line)
+        unique = frozenset(value for value, _, _ in items)
+        clause = Clause(unique)
+        if len(unique) == 1:  # `true(a) v true(a).` means `true(a).`
+            self._fact(*unique, line)
+        elif not clause.is_tautology():
+            self.sets["clauses"].add(clause)
+        elif len(unique) == 2:  # `true(a) v -true(a).` completes a
+            self.sets["completions"].add(next(iter(unique)).atom)
         else:
-            self._record_clause(literals, start)
+            self.warnings.append("line %d: tautology dropped: %s"
+                                 % (line, clause))
+
+    def _fact(self, lit: Literal, line: int):
+        if lit.negated() in self.sets["facts"] or (
+                not lit.positive and lit.atom in self.sets["causal"]):
+            raise ParseError("contradictory unit facts on %s" % lit.atom, line)
+        if isinstance(lit.atom, CausalAtom) and lit.positive:
+            self.sets["causal"].add(lit.atom)
+        else:
+            self.sets["facts"].add(lit)
 
     def _symbol(self) -> Symbol:
-        tok = self._peek()
-        if tok is not None and tok.text == "[":
+        if self._peek() == "[":
             self._next()
-            parts = self._list(lambda: self._name().text)
-            self._next("]")
-            return Symbol(parts[0], tuple(parts[1:]))
+            name, *args = self._list(lambda: self._name().text, "]")
+            return Symbol(name, tuple(args))
         return Symbol(self._name().text)
 
     def _args(self, count: int, head: _Token) -> List:
         self._next("(")
-        out = self._list(self._symbol)
-        self._next(")")
+        out = self._list(self._symbol, ")")
         if len(out) != count:
             raise ParseError("%s expects %d argument(s), found %d"
                              % (head.text, count, len(out)), head.line)
         return out
 
-    def _literal_or_fact(self):
-        """One functor application, optionally negated, as (where, value,
-        head): where is "lit" for a literal, else the set it is added to."""
-        negative = False
-        tok = self._peek()
-        if tok is not None and tok.text == "-":
+    def _item(self):
+        """One functor application, optionally negated, as (value, where,
+        head): where is None for a literal, else the set value is added to."""
+        negative = self._peek() == "-"
+        if negative:
             self._next()
-            negative = True
         head = self._name()
         functor = head.text
 
         if functor == "true":
             (s,) = self._args(1, head)
-            return ("lit", Literal(s, not negative), head)
+            return Literal(s, not negative), None, head
         if functor == "cause":
             a, b = self._args(2, head)
-            return ("lit", Literal(CausalAtom(a, b), not negative), head)
+            return Literal(CausalAtom(a, b), not negative), None, head
         if negative:
             raise ParseError("'-' applies to true/1 and cause/2 only", head.line)
 
@@ -216,11 +228,11 @@ class _Parser:
             if unit.plain and any(s.structured for s in args):
                 raise ParseError("%s expects plain object names" % functor,
                                  head.line)
-            return (self.sets[unit.field], value, head)
+            return value, self.sets[unit.field], head
         for section in STAGE_SECTIONS:
             if functor == section.functor:
-                return (getattr(self.stage, section.field),
-                        self._explanation(head), head)
+                return (self._explanation(head),
+                        getattr(self.stage, section.field), head)
         raise ParseError("unknown statement %r" % functor, head.line)
 
     def _explanation(self, head: _Token) -> ExplanationAtom:
@@ -230,50 +242,12 @@ class _Parser:
         j = self._symbol()
         self._next(",")
         self._next("{")
-        members = self._list(self._symbol)
-        self._next("}")
+        members = self._list(self._symbol, "}")
         self._next(")")
         try:
             return ExplanationAtom(i, j, members)
         except ValueError as exc:
             raise ParseError(str(exc), head.line)
-
-    # -- recording ---------------------------------------------------------
-    def _record_unit(self, item, line: int):
-        where, value = item[0], item[1]
-        if where != "lit":
-            where.add(value)
-        elif value.negated() in self.sets["facts"] or (
-                not value.positive and value.atom in self.sets["causal"]):
-            raise ParseError("contradictory unit facts on %s" % value.atom,
-                             line)
-        elif isinstance(value.atom, CausalAtom) and value.positive:
-            self.sets["causal"].add(value.atom)
-        else:
-            self.sets["facts"].add(value)
-
-    def _record_clause(self, items, line: int):
-        literals = []
-        for item in items:
-            if item[0] != "lit":
-                raise ParseError("only true/cause literals may appear in a "
-                                 "disjunction", item[2].line)
-            literals.append(item[1])
-        unique = frozenset(literals)
-        if len(unique) == 1:  # `true(a) v true(a).` means `true(a).`
-            self._record_unit(("lit", literals[0]), line)
-            return
-        if len(unique) == 2:
-            lits = sorted(unique, key=lambda l: l.render())
-            if lits[0].atom == lits[1].atom and lits[0].positive != lits[1].positive:
-                self.sets["completions"].add(lits[0].atom)
-                return
-        clause = Clause(unique)
-        if clause.is_tautology():
-            self.warnings.append("line %d: tautology dropped: %s"
-                                 % (line, clause))
-            return
-        self.sets["clauses"].add(clause)
 
 
 def parse_input(text: str) -> ParseResult:

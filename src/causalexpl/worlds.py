@@ -29,7 +29,7 @@ class WorldOverflowError(RuntimeError):
         self.bound = bound
 
 
-class InconsistentTheoryError(RuntimeError):
+class InconsistentTheoryError(ValueError):
     pass
 
 

@@ -209,7 +209,10 @@ SELF_CAUSE = "warning: self-cause: cause(a,a)\n"
     (["cause(a,a). cause(a,b).", "ecSetRes(zz,qq,{zz})."], [], 1,
      SELF_CAUSE + "error: stage input zz explains qq with qq, zz, which "
      "the theory does not mention\n"),
-], ids=["parse-then-validation", "overflow", "no-world", "stage-input"])
+    ([" ".join("cause(s%d,s%d)." % (i, i + 1) for i in range(21))],
+     ["--oracle"], 1, "error: oracle refuses 22 symbols (bound 20)\n"),
+], ids=["parse-then-validation", "overflow", "no-world", "stage-input",
+        "oracle-bound"])
 def test_warnings_are_printed_before_a_failure(capsys, tmp_path, texts,
                                                flags, code, err):
     files = [tmp_path / ("input%d.lp" % n) for n in range(len(texts))]

@@ -1,5 +1,7 @@
 """Fact-file parsing, emission, and round-trip stability."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalexpl.cli import RunConfig, RunResult, render_text
 from causalexpl.model import (CausalAtom, Clause, Literal, OntAtom, Symbol,
@@ -109,6 +111,28 @@ def test_syntax_errors_carry_line_numbers():
         parse_input("-ont(a,b).").theory
 
 
+@pytest.mark.parametrize("text, message", [
+    ("true(a", "line 1: unexpected end of input"),
+    ("true(a) $", "line 1: unexpected character '$'"),
+    ("true(1).", "line 1: expected a name, found '1'"),
+    ("-ont(a,b).", "line 1: '-' applies to true/1 and cause/2 only"),
+    ("ont_object(x,x).", "line 1: reflexive ont_object atom"),
+    ('{"explanations": 3}', '"explanations" must be a list, found 3'),
+    ('{"optimal": [5]}', 'an explanation needs "from", "to" and '
+     '"conditions", found 5'),
+    ('{"optimal": [{"from": "a", "to": 7, "conditions": ["a"]}]}',
+     "not a symbol: 7"),
+    ('{"optimal": [{"from": "a", "to": "b", "conditions": "a"}]}',
+     '"conditions" must be a list, found "a"'),
+], ids=["end-of-input", "bad-character", "number-for-name",
+        "negated-unit", "reflexive-ont-object", "json-section",
+        "json-entry", "json-symbol", "json-conditions"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_input(text)
+    assert str(err.value) == message
+
+
 def test_contradictory_unit_facts_hard_error():
     with pytest.raises(ParseError):
         parse_input("true(a). -true(a).").theory
@@ -166,6 +190,71 @@ def test_emit_theory_leaves_out_a_tautological_clause():
     assert emit_theory(t) == "cause(a,b).\n"
     parsed = parse_input(emit_theory(t)).theory
     assert len(enumerate_worlds(t)) == len(enumerate_worlds(parsed)) == 1
+
+
+_SYMBOLS = st.sampled_from(["a", "b", "c", "[p,a]", "[p,b,c]"])
+
+
+@st.composite
+def _literal(draw):
+    if draw(st.booleans()):
+        text = "true(%s)" % draw(_SYMBOLS)
+    else:
+        text = "cause(%s,%s)" % (draw(_SYMBOLS), draw(_SYMBOLS))
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+def _complement(literal):
+    return literal[1:] if literal.startswith("-") else "-" + literal
+
+
+@st.composite
+def _statement(draw):
+    """One statement of any kind: a unit statement, a literal, or a clause
+    that is plain, duplicated, complementary or tautological."""
+    kind = draw(st.sampled_from(["unit", "literal", "clause", "duplicate",
+                                 "completion", "tautology"]))
+    if kind == "unit":
+        functor = draw(st.sampled_from(sorted(UNIT_STATEMENTS)))
+        unit = UNIT_STATEMENTS[functor]
+        names = st.sampled_from(["a", "b", "c"]) if unit.plain else _SYMBOLS
+        body = "%s(%s)" % (functor, ",".join(
+            draw(names) for _ in range(unit.arity)))
+    elif kind == "literal":
+        body = draw(_literal())
+    elif kind == "clause":
+        body = " v ".join(draw(st.lists(_literal(), min_size=2, max_size=3)))
+    else:
+        first = draw(_literal())
+        second = first if kind == "duplicate" else _complement(first)
+        rest = [draw(_literal())] if kind == "tautology" else []
+        body = " v ".join([first, second] + rest)
+    return body + "."
+
+
+def _text(draw, statements):
+    """statements joined by whitespace, comments and decorative braces."""
+    parts = []
+    for statement in statements:
+        braced = draw(st.booleans())
+        parts += ["{" if braced else "", statement, "}" if braced else "",
+                  draw(st.sampled_from([" ", "\n", "\t", " % note\n"]))]
+    return "".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(_statement(), max_size=6))
+def test_parsed_text_round_trips_in_any_statement_order(data, statements):
+    def theory(statements):
+        try:
+            return parse_input(_text(data.draw, statements)).theory
+        except ValueError:  # KindDeclarations' own check too
+            return None
+
+    t = theory(statements)
+    assert theory(data.draw(st.permutations(statements))) == t
+    if t is not None:
+        assert parse_input(emit_theory(t)).theory == t
 
 
 @pytest.mark.parametrize("functor", sorted(UNIT_STATEMENTS))

@@ -37,10 +37,11 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, and the two take longer to import than
-    # the rest of the package does, and json is read and written only for
-    # JSON; -S keeps site-packages' own imports out
+    # the rest of the package does; json is read and written only for JSON,
+    # and the oracle runs only under --oracle; -S keeps site-packages' own
+    # imports out
     code = ("import sys, causalexpl.cli; print(sorted({'dataclasses', "
-            "'inspect', 'json'} & sys.modules.keys()))")
+            "'inspect', 'json', 'causalexpl.oracle'} & sys.modules.keys()))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
