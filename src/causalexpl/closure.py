@@ -5,7 +5,7 @@ impco  -- implication induced by causal + ontological atoms, reflexive on
           symbolE and transitively closed
 
 One routine closes a relation over masks (model.Symbol.bit).  The closure
-index (compute_closures) keeps each relation as its rows both ways, a bit
+index (compute_closures) keeps each relation as its rows both ways, a symbol
 mapped to the mask of the symbols above or below it, and nothing else; the
 oracle, which reasons in pairs, decodes the rows itself.
 """
@@ -14,66 +14,58 @@ from __future__ import annotations
 import functools
 from collections import defaultdict, namedtuple
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
-from .model import CausalAtom, OntAtom, Theory
+from .model import CausalAtom, OntAtom, Symbol, Theory, members
 
-Rows = Mapping[int, int]
+Rows = Mapping[Symbol, int]
 
 
 class ClosureRelations(namedtuple("ClosureRelations", (
-        "ontt_above",       # bit -> mask of its IS-A super-concepts
-        "ontt_below",       # bit -> mask of its IS-A sub-concepts
-        "impco_above",      # bit -> mask of the symbols it implies
-        "impco_below"))):   # bit -> mask of the symbols implying it
-    """The one closure index of a theory, built once per causal set: a bit
-    with no pair has no row."""
+        "ontt_above",       # symbol -> mask of its IS-A super-concepts
+        "ontt_below",       # symbol -> mask of its IS-A sub-concepts
+        "impco_above",      # symbol -> mask of the symbols it implies
+        "impco_below"))):   # symbol -> mask of the symbols implying it
+    """The one closure index of a theory, built once per causal set: a
+    symbol with no pair has no row."""
     __slots__ = ()
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first, each as an int."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _implied(mask: int, rows: Mapping[int, int]) -> int:
-    """The OR of the rows of mask's bits: with impco_above, the symbols
+def _implied(mask: int, rows: Rows) -> int:
+    """The OR of the rows of mask's members: with impco_above, the symbols
     that some member of mask impco-implies."""
     out = 0
-    for low in _bits(mask):
-        out |= rows.get(low, 0)
+    for s in members(mask):
+        out |= rows.get(s, 0)
     return out
 
 
 def _closure(ontology: Iterable[OntAtom], causal: Iterable[CausalAtom] = (),
              reflexive: bool = False) -> Tuple[Rows, Rows]:
     """Read-only rows of the transitive closure of the IS-A and cause
-    edges: above maps a bit to the mask of the symbols a non-empty edge
-    path from it reaches, below maps a bit to the mask of those that reach
-    it.  reflexive adds every edge endpoint to its own rows."""
+    edges: above maps a symbol to the mask of the symbols a non-empty edge
+    path from it reaches, below maps a symbol to the mask of those that
+    reach it.  reflexive adds every edge endpoint to its own rows."""
     step = defaultdict(int)
     for oa in ontology:
-        step[oa.sub.bit] |= oa.super.bit
+        step[oa.sub] |= oa.super.bit
     for ca in causal:
-        step[ca.cause.bit] |= ca.effect.bit
+        step[ca.cause] |= ca.effect.bit
     above = {}
-    for bit, new in step.items():
+    for s, new in step.items():
         reached = 0
         while new:
             reached |= new
             new = _implied(new, step) & ~reached
-        above[bit] = reached
+        above[s] = reached
     if reflexive:  # the edges' sources (step's keys) and targets
-        for bit in _bits(functools.reduce(int.__or__, step.values(),
-                                          sum(step))):
-            above[bit] = above.get(bit, 0) | bit
+        for s in members(functools.reduce(
+                int.__or__, step.values(), sum(s.bit for s in step))):
+            above[s] = above.get(s, 0) | s.bit
     below = defaultdict(int)
-    for bit, row in above.items():
-        for low in _bits(row):
-            below[low] |= bit
+    for s, row in above.items():
+        for t in members(row):
+            below[t] |= s.bit
     return MappingProxyType(above), MappingProxyType(dict(below))
 
 

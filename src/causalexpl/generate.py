@@ -7,9 +7,9 @@ condition masks, and the steps it composes over, each symbol's
 off the witnesses of the base rules.  The transitive condition-gathering
 fixpoint extends the seeds along the steps, keeping only the subset-minimal
 condition sets of each (source, target) pair (up to symbols on implication
-cycles).  The rules read the closure index's rows, each a symbol's bit
-(model.Symbol.bit) mapped to a mask of symbol bits, and gathering and
-reduction work on condition masks.
+cycles).  The rules read the closure index's rows, each a symbol mapped to
+a mask of symbol bits (model.Symbol.bit), and gathering and reduction work
+on condition masks.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import and_
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
-from .closure import ClosureRelations, _bits, _implied, compute_closures
+from .closure import ClosureRelations, _implied, compute_closures
 from .model import ExplanationAtom, Symbol, Theory, members
 
 Seeds = Mapping[Tuple[Symbol, Symbol], Tuple[int, ...]]
@@ -43,22 +43,22 @@ def ecinit_full(t: Theory, c: ClosureRelations) -> Tuple[Seeds, Steps]:
     extras = defaultdict(int)   # (i, j) -> the OR of its rules' e bits
     for ca in t.causal:
         i, x = ca.cause, ca.effect
-        implied = c.impco_above[i.bit]  # i is in symbolE, so it has a row
-        subs = c.ontt_below.get(x.bit, 0)
+        implied = c.impco_above[i]  # i is in symbolE, so it has a row
+        subs = c.ontt_below.get(x, 0)
         # x, the sub-concepts of x that i implies, and their super-concepts
         explained = x.bit | subs & implied
         for j in members(explained | _implied(explained, c.ontt_above)):
             extras[(i, j)] |= i.bit
-        for e in _bits(subs & ~implied):
-            for j in members(e | c.ontt_above.get(e, 0)):
-                extras[(i, j)] |= e
+        for e in members(subs & ~implied):
+            for j in members(e.bit | c.ontt_above.get(e, 0)):
+                extras[(i, j)] |= e.bit
 
     seeds, steps = {}, defaultdict(list)
     for (i, j), mask in extras.items():
         # {i} beats {i, j}, which beats the {i, e} witnesses
         first = mask & i.bit or mask & j.bit or mask
-        seeds[(i, j)] = tuple(i.bit | e for e in _bits(first))
-        steps[i].extend((j, 0 if e == i.bit else e) for e in _bits(mask))
+        seeds[(i, j)] = tuple(i.bit | e.bit for e in members(first))
+        steps[i].extend((j, 0 if e is i else e.bit) for e in members(mask))
     return seeds, dict(steps)
 
 
@@ -118,17 +118,17 @@ def reduce_conditions(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
     originals; the optimizer decides what survives.
     """
     below = c.impco_below
-    # (mask, source bit) -> the masks one removal leaves, whatever the target
-    removals: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    # (mask, source) -> the masks one removal leaves, whatever the target
+    removals: Dict[Tuple[int, Symbol], Tuple[int, ...]] = {}
     out = set(atoms)
     frontier = list(atoms)
     while frontier:
         i, j, mask = frontier.pop()
-        rests = removals.get((mask, i.bit))
+        rests = removals.get((mask, i))
         if rests is None:
-            rests = removals[(mask, i.bit)] = tuple(
-                mask ^ phi for phi in _bits(mask & ~i.bit)
-                if below.get(phi, 0) & mask & ~phi)
+            rests = removals[(mask, i)] = tuple(
+                mask ^ phi.bit for phi in members(mask & ~i.bit)
+                if below.get(phi, 0) & mask & ~phi.bit)
         for rest in rests:
             reduced = ExplanationAtom._make((i, j, rest))
             if reduced not in out:
@@ -142,7 +142,7 @@ def generate(t: Theory, closures: ClosureRelations = None
     """Run the full generation pipeline on a validated theory."""
     c = closures if closures is not None else compute_closures(t)
     # the symbols that imply, and are implied by, another symbol
-    cyclic = sum(bit for bit, up in c.impco_above.items()
-                 if up & c.impco_below[bit] & ~bit)
+    cyclic = sum(s.bit for s, up in c.impco_above.items()
+                 if up & c.impco_below[s] & ~s.bit)
     gathered = gather_transitive(*ecinit_full(t, c), cyclic)
     return reduce_conditions(gathered, c)

@@ -403,7 +403,7 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
     from .closure import _closure  # closure imports this module
-    if any(bit & above for bit, above in _closure(t.ontology)[0].items()):
+    if any(s.bit & above for s, above in _closure(t.ontology)[0].items()):
         report.warnings.append("ontology contains a cycle (cyclic IS-A is "
                                "almost certainly a modeling error)")
     symbols, _ = symbol_universe(t)

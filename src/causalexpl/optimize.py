@@ -5,7 +5,8 @@ implies a sibling one-way.  A strict superset implies its subset one-way,
 so no set that strictly contains a sibling's survives either.
 
 Condition sets are masks (model.Symbol.bit), and so are impco's forward
-rows (ClosureRelations.impco_above): every test is int arithmetic.
+rows (ClosureRelations.impco_above), each read by the symbol it describes:
+every test is int arithmetic.
 """
 from __future__ import annotations
 
@@ -13,11 +14,11 @@ from collections import defaultdict
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterator, List
 
-from .closure import ClosureRelations, _bits, _implied
-from .model import ExplanationAtom
+from .closure import ClosureRelations, _implied
+from .model import ExplanationAtom, members
 
 # a group of more atoms reads the siblings within reach of each atom off
-# per-bit bitsets of positions: testing every sibling is quadratic in the
+# per-symbol bitsets of positions: testing every sibling is quadratic in the
 # group, and chain 5 has groups of 1,024
 _SCAN_LIMIT = 32
 
@@ -65,13 +66,16 @@ def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations
 def _within_reach(masks: List[int], outside: Dict[int, int]
                   ) -> Iterator[List[int]]:
     """For each mask a of masks, the masks that hold no bit of outside[a]."""
-    holders = defaultdict(int)  # bit -> the bitset of positions holding it
+    holders = defaultdict(int)  # symbol -> the bitset of positions holding it
     for n, b in enumerate(masks):
-        for bit in _bits(b):
-            holders[bit] |= 1 << n
-    union, everyone = sum(holders), (1 << len(masks)) - 1
+        for s in members(b):
+            holders[s] |= 1 << n
+    union, everyone = sum(s.bit for s in holders), (1 << len(masks)) - 1
     for a in masks:
-        beyond = 0
-        for bit in _bits(union & outside[a]):
-            beyond |= holders[bit]
-        yield [masks[m.bit_length() - 1] for m in _bits(everyone & ~beyond)]
+        survivors = everyone & ~_implied(union & outside[a], holders)
+        found = []
+        while survivors:
+            low = survivors & -survivors
+            found.append(masks[low.bit_length() - 1])
+            survivors ^= low
+        yield found

@@ -25,9 +25,8 @@ class OracleBoundError(ValueError):
 
 def row_pairs(rows: Rows) -> PairSet:
     """The pairs (a, b) of a closure index's above rows (ontt_above or
-    impco_above): b is in the row of a's bit."""
-    return frozenset((a, b) for bit, row in rows.items()
-                     for a in members(bit) for b in members(row))
+    impco_above): b is in the row of a."""
+    return frozenset((a, b) for a, row in rows.items() for b in members(row))
 
 
 def derive_all(t: Theory, max_symbols: int = 10) -> FrozenSet[ExplanationAtom]:

@@ -155,8 +155,13 @@ class _Parser:
             items.append(self._item())
         self._next(".")
         if len(items) == 1 and items[0][1] is not None:
-            value, where, _ = items[0]
+            value, where, head = items[0]
             where.add(value)
+            if head.text in KindDeclarations._fields:  # a predicate's kinds
+                try:
+                    self._frozen(KindDeclarations)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line)
             return
         for _, where, head in items:
             if where is not None:

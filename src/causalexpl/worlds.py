@@ -18,7 +18,7 @@ from collections import defaultdict, namedtuple
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from .closure import _implied, compute_closures
+from .closure import Rows, _implied, compute_closures
 from .model import CausalAtom, ExplanationAtom, Literal, Theory, members
 
 
@@ -61,10 +61,10 @@ def _options(literals: List[Tuple[int, int]], inclusive: bool
             for option in itertools.combinations(literals, r))
 
 
-def propagate_truth(true: int, false: int, above: Mapping[int, int],
-                    below: Mapping[int, int]) -> Tuple[int, int]:
+def propagate_truth(true: int, false: int, above: Rows, below: Rows
+                    ) -> Tuple[int, int]:
     """The symbols made true by impco from the true bits, and those made
-    false by impco from the false bits: the OR of the rows of the bits
+    false by impco from the false bits: the OR of the rows of the members
     given (ClosureRelations.impco_above for true, impco_below for false).
 
     impco is transitive, so one step closes the bits given; a caller with

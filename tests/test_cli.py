@@ -384,6 +384,22 @@ def test_inconsistent_theory_exit_1(capsys, tmp_path):
     assert main([str(src), "--stage", "verify"]) == 1
 
 
+def test_deep_is_a_chain_explains_every_link(capsys, tmp_path):
+    """cause(x, s0) on a 300-link IS-A chain: x explains each si with {x},
+    and the one world verifies all 301 atoms, each brave and cautious."""
+    src = tmp_path / "deep.lp"
+    src.write_text("".join("ont(s%d,s%d).\n" % (i, i + 1) for i in range(300))
+                   + "cause(x,s0).\n")
+    code, out = run(capsys, str(src), "--stage", "all")
+    assert code == 0
+    want = sorted("x,s%d,{x})." % i for i in range(301))
+    lines = out.splitlines()
+    assert len(lines) == 1505
+    for head in ("ecSet(", "ecSetRes(", "explVer(1,", "brave(", "cautious("):
+        assert sorted(line[len(head):] for line in lines
+                      if line.startswith(head)) == want
+
+
 def test_inclusive_disjunction_adds_world(capsys, tmp_path):
     src = tmp_path / "disj.lp"
     src.write_text("true(a) v true(b).")

@@ -77,12 +77,12 @@ def _assert_rows_hold(c, ontt, impco):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_closures_match_bfs_reachability(seed):
     t = random_theory(random.Random(seed), acyclic=False)
-    # the closure index holds the relations as int rows keyed by bits
+    # the closure index holds the relations as int rows keyed by symbols
     c = compute_closures(t)
     _assert_rows_hold(c, *_bfs_relations(t))
     for rows in c:
-        assert all(type(bit) is int and bit.bit_count() == 1
-                   and type(row) is int for bit, row in rows.items())
+        assert all(type(s) is Symbol and type(row) is int
+                   for s, row in rows.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,3 +119,15 @@ def test_rows_hold_exactly_the_pairs(seed, acyclic):
     # a symbol with no pair has no row
     for rows in c:
         assert all(rows.values())
+
+
+def test_row_keys_have_distinct_hashes():
+    # an int key 1 << n hashes as 1 << (n % 61) on 64-bit CPython, so keys
+    # by bit would share at most 61 hashes among a chain's 200 rows
+    chain = [Symbol("hash_s%d" % i) for i in range(201)]
+    t = Theory(causal=frozenset([CausalAtom(Symbol("hash_x"), chain[0])]),
+               ontology=frozenset(OntAtom(a, b)
+                                  for a, b in zip(chain, chain[1:])))
+    for rows in compute_closures(t):
+        assert len(rows) >= 200
+        assert len({hash(key) for key in rows}) == len(rows)

@@ -92,10 +92,10 @@ def _parent_initial_rules(t, c):
     impco = impco_pairs(t)
 
     def supers(s):
-        return members(c.ontt_above.get(s.bit, 0))
+        return members(c.ontt_above.get(s, 0))
 
     def subs(s):
-        return members(c.ontt_below.get(s.bit, 0))
+        return members(c.ontt_below.get(s, 0))
 
     base = set()    # (source, target, extra) triples
     for ca in t.causal:

@@ -117,6 +117,8 @@ def test_syntax_errors_carry_line_numbers():
     ("true(1).", "line 1: expected a name, found '1'"),
     ("-ont(a,b).", "line 1: '-' applies to true/1 and cause/2 only"),
     ("ont_object(x,x).", "line 1: reflexive ont_object atom"),
+    ("allkind(p).\nall_onekind(p).",
+     "line 2: predicate(s) ['p'] declared both allkind and all_onekind"),
     ('{"explanations": 3}', '"explanations" must be a list, found 3'),
     ('{"optimal": [5]}', 'an explanation needs "from", "to" and '
      '"conditions", found 5'),
@@ -125,7 +127,7 @@ def test_syntax_errors_carry_line_numbers():
     ('{"optimal": [{"from": "a", "to": "b", "conditions": "a"}]}',
      '"conditions" must be a list, found "a"'),
 ], ids=["end-of-input", "bad-character", "number-for-name",
-        "negated-unit", "reflexive-ont-object", "json-section",
+        "negated-unit", "reflexive-ont-object", "kind-clash", "json-section",
         "json-entry", "json-symbol", "json-conditions"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:

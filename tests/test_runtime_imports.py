@@ -35,6 +35,14 @@ def test_runtime_imports_only_the_standard_library():
     assert sources and foreign == []
 
 
+def test_runtime_parses_as_the_oldest_supported_python():
+    # pyproject.toml: requires-python = ">=3.10"
+    sources = sorted(PACKAGE.glob("*.py"))
+    for path in sources:
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
+    assert sources
+
+
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, and the two take longer to import than
     # the rest of the package does; json is read and written only for JSON,
