@@ -355,22 +355,19 @@ def symbol_universe(t: Theory) -> Tuple[frozenset, frozenset]:
     symbols = set(symbol_e)
     symbols.update(t.declared)
     for lit in t.facts:
-        symbols.update(_literal_symbols(lit))
+        symbols.update(_symbols_of(lit.atom))
     for clause in t.disjunctive_facts:
         for lit in clause.literals:
-            symbols.update(_literal_symbols(lit))
+            symbols.update(_symbols_of(lit.atom))
     for atom in t.completions:
-        if isinstance(atom, CausalAtom):
-            symbols.update((atom.cause, atom.effect))
-        else:
-            symbols.add(atom)
+        symbols.update(_symbols_of(atom))
     return frozenset(symbols), frozenset(symbol_e)
 
 
-def _literal_symbols(lit: Literal):
-    if isinstance(lit.atom, CausalAtom):
-        return (lit.atom.cause, lit.atom.effect)
-    return (lit.atom,)
+def _symbols_of(atom: Union[Symbol, CausalAtom]):
+    if isinstance(atom, CausalAtom):
+        return (atom.cause, atom.effect)
+    return (atom,)
 
 
 class ValidationReport(namedtuple("ValidationReport", "errors warnings")):
@@ -383,8 +380,11 @@ class ValidationReport(namedtuple("ValidationReport", "errors warnings")):
 
 def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
     """Well-formedness checks; findings are reported, nothing is raised."""
+    from graphlib import CycleError, TopologicalSorter  # not at start-up
     report = ValidationReport([], [])
+    links = TopologicalSorter()  # one linear pass finds an IS-A cycle
     for oa in t.ontology:
+        links.add(oa.sub, oa.super)
         if oa.sub == oa.super:
             report.errors.append("reflexive ontology atom: %s" % oa)
     for ca in t.causal:
@@ -402,8 +402,9 @@ def validate_theory(t: Theory, lifting: bool = False) -> ValidationReport:
                                       and lit.atom in t.causal):
             report.errors.append("contradictory unit facts on %s" % lit.atom)
             break
-    from .closure import _closure  # closure imports this module
-    if any(s.bit & above for s, above in _closure(t.ontology)[0].items()):
+    try:
+        links.prepare()  # raises when some symbol reaches itself
+    except CycleError:
         report.warnings.append("ontology contains a cycle (cyclic IS-A is "
                                "almost certainly a modeling error)")
     symbols, _ = symbol_universe(t)

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 
 import causalexpl
 
@@ -23,6 +24,25 @@ def _imported_modules(path):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module.split(".")[0]
+
+
+def _package_imports(path):
+    """The package modules one source file imports relatively, at any
+    depth: x for ``from .x import y`` and for ``from . import x``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_package_import_graph_is_acyclic():
+    # function-level imports count: a cycle through one is still a cycle
+    sources = sorted(PACKAGE.glob("*.py"))
+    graph = {path.stem: set(_package_imports(path)) for path in sources}
+    assert graph["model"] == set()
+    TopologicalSorter(graph).prepare()  # CycleError names the cycle
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -46,10 +66,11 @@ def test_runtime_parses_as_the_oldest_supported_python():
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, and the two take longer to import than
     # the rest of the package does; json is read and written only for JSON,
-    # and the oracle runs only under --oracle; -S keeps site-packages' own
-    # imports out
+    # the oracle runs only under --oracle, and graphlib only where a theory
+    # is validated; -S keeps site-packages' own imports out
     code = ("import sys, causalexpl.cli; print(sorted({'dataclasses', "
-            "'inspect', 'json', 'causalexpl.oracle'} & sys.modules.keys()))")
+            "'inspect', 'json', 'causalexpl.oracle', 'graphlib'} & "
+            "sys.modules.keys()))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
