@@ -37,7 +37,7 @@ import sys
 from collections import namedtuple
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .closure import compute_closures
+from .closure import closures_of
 from .generate import generate
 from .lifting import apply_restrictions, lift
 from .model import (ExplanationAtom, Literal, Theory, atom_body,
@@ -104,22 +104,13 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
             "not mention" % (foreign.source, foreign.target,
                              ", ".join(map(str, sorted(unknown)))))
 
-    # closures are built once per causal set, keyed by its mask, here for
-    # the base set when a stage reads them or by enumerate_worlds, and
-    # shared by generate, optimize and propagation
     base = sum(ca.bit for ca in t.causal)
-    closures = {}
-
-    def base_closures():
-        if base not in closures:
-            closures[base] = compute_closures(t)
-        return closures[base]
-
+    closures = {}  # causal mask -> closure index, filled by closures_of
     if config.oracle:
         from .oracle import derive_all, optimal_subset, row_pairs
         result.generated = derive_all(t, max_symbols=20)
-        result.optimal = optimal_subset(result.generated,
-                                        row_pairs(base_closures().impco_above))
+        above = closures_of(t, closures, base).impco_above
+        result.optimal = optimal_subset(result.generated, row_pairs(above))
         return result
 
     # a stage's atoms come from stage input when it holds them, otherwise
@@ -128,11 +119,11 @@ def run_pipeline(t: Theory, stage_in: StageFacts, config: RunConfig,
     stage = config.stage
     if stage in ("gen", "all") or not stage_in.optimal:
         result.generated = (frozenset(stage_in.generated)
-                            or generate(t, base_closures()))
+                            or generate(t, closures_of(t, closures, base)))
     if stage == "gen":
         return result
-    result.optimal = (frozenset(stage_in.optimal)
-                      or optimize(result.generated, base_closures()))
+    result.optimal = frozenset(stage_in.optimal) or optimize(
+        result.generated, closures_of(t, closures, base))
     if stage == "opt":
         return result
 

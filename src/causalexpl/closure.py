@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict, namedtuple
 from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .model import CausalAtom, OntAtom, Symbol, Theory, members
 
@@ -69,8 +69,26 @@ def _closure(ontology: Iterable[OntAtom], causal: Iterable[CausalAtom] = (),
     return MappingProxyType(above), MappingProxyType(dict(below))
 
 
+@functools.lru_cache(maxsize=1)
+def _ontt_rows(ontology: FrozenSet[OntAtom]) -> Tuple[Rows, Rows]:
+    """_closure(ontology), kept for the last ontology closed: no causal set
+    changes the IS-A rows, so a run's causal sets share them."""
+    return _closure(ontology)
+
+
 def compute_closures(t: Theory) -> ClosureRelations:
     """The closure index of t's causal and IS-A atoms; impco is reflexive on
     symbolE, the endpoints of those atoms."""
-    return ClosureRelations(*_closure(t.ontology),
+    return ClosureRelations(*_ontt_rows(frozenset(t.ontology)),
                             *_closure(t.ontology, t.causal, reflexive=True))
+
+
+def closures_of(t: Theory, closures: Dict[int, ClosureRelations],
+                causal: int) -> ClosureRelations:
+    """closures[causal], built on its first read as the closure index of t
+    with the causal atoms of the mask causal: a run's one table, shared by
+    its stages and its world walk."""
+    c = closures.get(causal)
+    if c is None:
+        c = closures[causal] = compute_closures(t.with_causal(members(causal)))
+    return c

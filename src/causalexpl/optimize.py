@@ -19,8 +19,9 @@ from .model import ExplanationAtom, members
 
 # a group of more atoms reads the siblings within reach of each atom off
 # per-symbol bitsets of positions: testing every sibling is quadratic in the
-# group, and chain 5 has groups of 1,024
-_SCAN_LIMIT = 32
+# group, and chain 5 has groups of 1,024.  Of 32, 64, 128 and 256, 64 timed
+# fastest on chains 3 to 5
+_SCAN_LIMIT = 64
 
 
 def optimize(atoms: FrozenSet[ExplanationAtom], c: ClosureRelations

@@ -18,8 +18,8 @@ from collections import defaultdict, namedtuple
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from .closure import Rows, _implied, compute_closures
-from .model import CausalAtom, ExplanationAtom, Literal, Theory, members
+from .closure import Rows, _implied, closures_of
+from .model import CausalAtom, ExplanationAtom, Literal, Theory
 
 
 class WorldOverflowError(RuntimeError):
@@ -96,10 +96,9 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
     dies at its first propagated clash.  The surviving worlds are sorted by
     their option on each canonical axis and numbered in that order.
 
-    closures maps a causal mask to the ClosureRelations of t with that
-    causal set; a missing entry is built once, for the caller to reuse,
-    when a branch first reaches depth fixed.  Raises WorldOverflowError as
-    soon as more than max_worlds worlds survive.
+    closures is the table closure.closures_of fills, for the caller to
+    reuse.  Raises WorldOverflowError as soon as more than max_worlds
+    worlds survive.
     """
     if closures is None:
         closures = {}
@@ -142,10 +141,7 @@ def enumerate_worlds(t: Theory, max_worlds: int = 1024,
         if depth >= fixed:
             if depth == fixed:
                 causal = base & ~false | true & every
-                c = closures.get(causal)
-                if c is None:
-                    c = closures[causal] = compute_closures(
-                        t.with_causal(members(causal)))
+                c = closures_of(t, closures, causal)
                 true |= causal
                 was_true = was_false = 0    # propagate the whole masks
             else:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalexpl import cli
+from causalexpl import cli, closure
 from causalexpl.cli import main
 from causalexpl.parser import emit_theory, parse_input
 from conftest import FIG_TEXT, chain_theory
@@ -676,17 +676,16 @@ def test_every_input_maps_to_an_exit_code(fuzz_dir, facts, report, flags):
 
 
 def _count_closures(monkeypatch):
-    """Count compute_closures calls from cli and worlds."""
+    """Count the compute_closures calls of closure.closures_of, the one
+    builder of a run's closure table."""
     built = []
-    compute_closures = cli.compute_closures
+    compute_closures = closure.compute_closures
 
     def counting_closures(theory):
         built.append(theory.causal)
         return compute_closures(theory)
 
-    monkeypatch.setattr(cli, "compute_closures", counting_closures)
-    monkeypatch.setattr("causalexpl.worlds.compute_closures",
-                        counting_closures)
+    monkeypatch.setattr(closure, "compute_closures", counting_closures)
     return built
 
 

@@ -4,9 +4,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalexpl import cli, closure
 from causalexpl.closure import compute_closures
-from causalexpl.model import CausalAtom, OntAtom, Symbol, Theory, sym, symbol_universe
+from causalexpl.model import (CausalAtom, OntAtom, Symbol, Theory, members, sym,
+                              symbol_universe)
 from causalexpl.oracle import row_pairs
+from causalexpl.parser import StageFacts, parse_input
 from conftest import impco_pairs, random_theory
 
 
@@ -131,3 +134,39 @@ def test_row_keys_have_distinct_hashes():
     for rows in compute_closures(t):
         assert len(rows) >= 200
         assert len({hash(key) for key in rows}) == len(rows)
+
+
+def test_a_run_closes_its_is_a_links_once(monkeypatch):
+    # a 200-link IS-A chain under 3 completed causal links, so the worlds
+    # hold 2^3 causal sets; names no other test uses, so no earlier closure
+    # of this ontology is cached
+    n, k = 200, 3
+    text = "".join("ont(isa_once%d,isa_once%d). " % (i, i + 1)
+                   for i in range(n))
+    for j in range(k):
+        link = "cause(isa_once_x%d,isa_once0)" % j
+        text += "%s. %s v -%s. " % (link, link, link)
+    t = parse_input(text).theory
+    calls = []
+    unpatched = closure._closure
+
+    def counting(ontology, causal=(), reflexive=False):
+        calls.append((frozenset(causal), reflexive))
+        return unpatched(ontology, causal, reflexive)
+
+    monkeypatch.setattr(closure, "_closure", counting)
+    result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
+    causal_sets = {frozenset(members(w.causal)) for w in result.worlds}
+    assert len(causal_sets) == 2 ** k
+    # the IS-A links alone once, then each causal set's impco once
+    assert len(calls) == 1 + 2 ** k
+    assert set(calls) == {(frozenset(), False)} | {
+        (causal, True) for causal in causal_sets}
+
+
+def test_causal_sets_share_the_is_a_rows(diagram):
+    c = compute_closures(diagram)
+    other = compute_closures(diagram.with_causal(()))
+    assert other.ontt_above is c.ontt_above
+    assert other.ontt_below is c.ontt_below
+    assert other.impco_above != c.impco_above

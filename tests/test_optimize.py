@@ -139,7 +139,7 @@ def test_large_group_path_matches_the_scan(seed):
 
 
 def test_chain_groups_take_both_paths(monkeypatch):
-    t = chain_theory(3)
+    t = chain_theory(4)
     c = compute_closures(t)
     generated = generate(t, c)
     sizes = collections.Counter(atom[:2] for atom in generated).values()

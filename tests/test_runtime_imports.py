@@ -45,6 +45,39 @@ def test_package_import_graph_is_acyclic():
     TopologicalSorter(graph).prepare()  # CycleError names the cycle
 
 
+def _unused_imports(path):
+    """The names one source file imports but never reads.  A quoted
+    annotation is parsed, so a name read only there counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = getattr(node, "annotation", getattr(
+                node, "returns", None))
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(
+                        part.value, str):
+                    read.update(n.id for n in ast.walk(ast.parse(
+                        part.value, mode="eval")) if isinstance(n, ast.Name))
+    return imported - read
+
+
+def test_every_import_is_used():
+    # __init__.py imports names to re-export them
+    sources = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    unused = sorted("%s imports %s" % (path.name, name)
+                    for path in sources for name in _unused_imports(path))
+    assert sources and unused == []
+
+
 def test_runtime_imports_only_the_standard_library():
     sources = sorted(PACKAGE.glob("*.py"))
     foreign = sorted("%s imports %s" % (path.name, module)

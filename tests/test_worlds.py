@@ -487,8 +487,8 @@ def test_pipeline_generates_once_per_causal_set(monkeypatch):
         return compute_closures(theory)
 
     monkeypatch.setattr(cli, "generate", counting_generate)
-    monkeypatch.setattr(cli, "compute_closures", counting_closures)
-    monkeypatch.setattr("causalexpl.worlds.compute_closures", counting_closures)
+    monkeypatch.setattr("causalexpl.closure.compute_closures",
+                        counting_closures)
     result = cli.run_pipeline(t, StageFacts(), cli.RunConfig())
     causal_sets = {frozenset(model.members(w.causal)) for w in result.worlds}
     assert len(result.worlds) == 8 and len(causal_sets) == 2
