@@ -158,8 +158,9 @@ class _Parser:
             value, where, head = items[0]
             where.add(value)
             if head.text in KindDeclarations._fields:  # a predicate's kinds
-                try:
-                    self._frozen(KindDeclarations)
+                try:  # earlier statements passed, so only value can clash
+                    KindDeclarations(**{f: self.sets[f] & {value}
+                                        for f in KindDeclarations._fields})
                 except ValueError as exc:
                     raise ParseError(str(exc), line)
             return

@@ -1,15 +1,20 @@
 """Brute-force reference derivation and its equivalence with the pipeline."""
 import random
+from graphlib import TopologicalSorter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from causalexpl.cli import RunConfig, run_pipeline
 from causalexpl.closure import compute_closures
 from causalexpl.generate import generate
-from causalexpl.model import CausalAtom, OntAtom, Theory, sym
+from causalexpl.lifting import ObjectOntAtom, apply_restrictions, lift
+from causalexpl.model import (CausalAtom, KindDeclarations, OntAtom, Theory,
+                              sym, symbol_universe)
 from causalexpl.optimize import optimize
 from causalexpl.oracle import OracleBoundError, derive_all, optimal_subset
+from causalexpl.parser import StageFacts
 from conftest import atom_keys, impco_pairs, random_theory
 
 
@@ -126,6 +131,44 @@ def test_optimize_matches_optimal_subset_on_all_derivations(seed, acyclic):
     impco = impco_pairs(t)
     assert atom_keys(optimize(atoms, c)) == \
         atom_keys(optimal_subset(atoms, impco))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pipeline_matches_oracle_on_lifted_theories(seed):
+    """Object links over o0..o3, one or two predicates of one kind each,
+    sometimes propositional objects; causal links run forward in an IS-A
+    rank of the lifted symbols, so the cause+IS-A graph stays acyclic."""
+    rng = random.Random(seed)
+    objects = ["o%d" % i for i in range(4)]
+    links = rng.sample([ObjectOntAtom(objects[i], objects[j])
+                        for i in range(4) for j in range(i + 1, 4)],
+                       rng.randint(1, 3))
+    kinds = {"propkind": objects if rng.random() < 0.3 else ()}
+    for n in range(rng.randint(1, 2)):
+        kind = rng.choice(["onekind", "allkind", "all_onekind"])
+        kinds[kind] = kinds.get(kind, ()) + ("p%d" % n,)
+    decls = KindDeclarations(**{k: frozenset(v) for k, v in kinds.items()})
+    ontology = apply_restrictions(lift(links, decls), decls).atoms
+    rank = TopologicalSorter()  # sub before super
+    for oa in ontology:
+        rank.add(oa.super, oa.sub)
+    ranked = list(rank.static_order())
+    causal = set()
+    for _ in range(rng.randint(1, 4)):
+        i, j = sorted(rng.sample(range(len(ranked)), 2))
+        causal.add(CausalAtom(ranked[i], ranked[j]))
+    t = Theory(causal=frozenset(causal), object_ontology=frozenset(links),
+               kind_decls=decls)
+    lifted = t._replace(ontology=ontology)
+    assume(len(symbol_universe(lifted)[1]) <= 11)
+    c = compute_closures(lifted)
+    pipeline = atom_keys(optimize(generate(lifted, c), c))
+    oracle = optimal_subset(derive_all(lifted, max_symbols=11),
+                            impco_pairs(lifted))
+    assert pipeline == atom_keys(oracle)
+    config = RunConfig(stage="opt", lifting=True)
+    assert atom_keys(run_pipeline(t, StageFacts(), config).optimal) == pipeline
 
 
 def _theory(causal, ontology):

@@ -1,11 +1,13 @@
 """Fact-file parsing, emission, and round-trip stability."""
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalexpl.cli import RunConfig, RunResult, render_text
-from causalexpl.model import (CausalAtom, Clause, Literal, OntAtom, Symbol,
-                              Theory, sym)
+from causalexpl.model import (CausalAtom, Clause, KindDeclarations, Literal,
+                              OntAtom, Symbol, Theory, sym)
 from causalexpl.parser import (UNIT_STATEMENTS, ParseError, emit_theory,
                                parse_input)
 from causalexpl.worlds import enumerate_worlds
@@ -133,6 +135,42 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_input(text)
     assert str(err.value) == message
+
+
+_KINDS = ("onekind", "allkind", "all_onekind", "propkind")
+
+
+@pytest.mark.parametrize("first, second", [(a, b) for a in _KINDS
+                                           for b in _KINDS if a != b])
+def test_kind_clash_message_in_every_order(first, second):
+    with pytest.raises(ParseError) as err:
+        parse_input("%s(p).\nonekind(q).\n%s(p)." % (first, second))
+    x, y = sorted((first, second), key=KindDeclarations._fields.index)
+    assert str(err.value) == \
+        "line 3: predicate(s) ['p'] declared both %s and %s" % (x, y)
+    assert parse_input("%s(p).\n%s(p)." % (first, first)).theory == \
+        parse_input("%s(p)." % first).theory
+
+
+def test_kind_declarations_parse_in_linear_time(monkeypatch):
+    """Each kind statement is checked on a record of its own predicate, so
+    the records built for n declarations hold 2n predicates in all: one
+    per statement, and n in the record of the whole parse."""
+    held = []
+    check = KindDeclarations.__post_init__
+
+    def counted(self):
+        held.append(len(self.declared_predicates()))
+        check(self)
+    monkeypatch.setattr(KindDeclarations, "__post_init__", counted)
+    text = "".join("allkind(p%d).\n" % i for i in range(500))
+    assert len(parse_input(text).theory.kind_decls.allkind) == 500
+    assert sum(held) <= 1000  # 125,750 when every statement rechecks all
+    monkeypatch.undo()
+    text = "".join("allkind(p%d).\n" % i for i in range(20000))
+    start = time.perf_counter()
+    parse_input(text)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_contradictory_unit_facts_hard_error():
